@@ -11,8 +11,10 @@ verify numerically that both models reach the same solutions and is meant
 for small instances only.
 """
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +52,12 @@ class SolverConfig:
     retract: bool = False
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be nonnegative and finite")
 
 
 @dataclass
@@ -82,30 +84,45 @@ def residual(prev, new) -> float:
     return float(np.sqrt(np.sum(dx * dx) + np.sum(dl * dl)))
 
 
-def primal_update(u, z, y, wt: Weights, g: Graph, rho: float):
-    """Closed-form minimizer of the augmented Lagrangian in (x, ell)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+def _degrees(g: Graph) -> np.ndarray:
     nu = degree_table(g)
     if (nu == 0).any():
         raise ValueError("graph has an isolated vertex")
+    return nu
+
+
+def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
+    """Closed-form minimizer of the augmented Lagrangian in (x, ell).
+
+    nu is the degree table of g; it is computed when not given.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if nu is None:
+        nu = _degrees(g)
     ax, al = model.adjoint_Q(np.asarray(u) - np.asarray(z), g)
     x = (ax + (wt.vertex_weights / rho)[:, None] * np.asarray(y)) / (2.0 * nu[:, None])
     ell = 0.5 * (al + wt.edge_weights / rho)
     return x, ell
 
 
+def _project(blocks, pool, n_threads: int) -> np.ndarray:
+    """project_shifted_psd over the batch, split across the pool's threads
+    (LAPACK releases the GIL) when there is a pool and enough blocks."""
+    if pool is None or blocks.shape[0] < 2 * n_threads:
+        return project_shifted_psd(blocks)
+    return np.concatenate(list(pool.map(project_shifted_psd, np.array_split(blocks, n_threads))))
+
+
+def _pool(n_threads: int):
+    return ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else nullcontext()
+
+
 def block_update(x, ell, z, g: Graph, n_threads: int = 1) -> np.ndarray:
     """Project every shifted block plus its multiplier onto C = {A >= -I}."""
     blocks = model.apply_Q(x, ell, g) + np.asarray(z, dtype=float)
-    if n_threads <= 1 or blocks.shape[0] < 2 * n_threads:
-        return project_shifted_psd(blocks)
-    chunks = np.array_split(np.arange(blocks.shape[0]), n_threads)
-    out = np.empty_like(blocks)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        for idx, res in zip(chunks, pool.map(lambda i: project_shifted_psd(blocks[i]), chunks)):
-            out[idx] = res
-    return out
+    with _pool(n_threads) as pool:
+        return _project(blocks, pool, n_threads)
 
 
 def dual_update(z, x, ell, u, g: Graph) -> np.ndarray:
@@ -135,7 +152,8 @@ def admm_solve(
     Stops when the 2-norm change of (x, ell) between iterations drops below
     cfg.tol, or after cfg.max_iter iterations.  With cfg.retract the output
     signal is normalized onto the sphere; near-zero vectors are left alone
-    and reported in collapsed_vertices.
+    and reported in collapsed_vertices.  Raises SolverDivergence at the
+    first iteration whose (x, ell) is not finite.
     """
     y = np.asarray(y, dtype=float)
     wt.check_graph(g)
@@ -145,6 +163,7 @@ def admm_solve(
     if n != g.n_vertices or d not in model.SUPPORTED_DIMS:
         raise ValueError("input signal has wrong shape")
     m, k = g.m_edges, d + 2
+    nu = _degrees(g)
 
     t0 = time.perf_counter()
     x = np.zeros((n, d))
@@ -154,20 +173,24 @@ def admm_solve(
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf
-    for it in range(1, cfg.max_iter + 1):
-        x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho)
-        u = block_update(x_new, ell_new, z, g, n_threads=n_threads)
-        z = dual_update(z, x_new, ell_new, u, g)
-        res = residual((x, ell), (x_new, ell_new))
-        x, ell = x_new, ell_new
-        if not np.isfinite(res):
-            raise SolverDivergence(f"non-finite iterate at iteration {it}")
-        if collect_trace:
-            obj_trace.append(model.objective_K(x, ell, y, wt, g))
-            dist_trace.append(float(np.mean(1.0 - np.linalg.norm(x, axis=1))))
-            res_trace.append(res)
-        if res < cfg.tol:
-            break
+    with _pool(n_threads) as pool:
+        for it in range(1, cfg.max_iter + 1):
+            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu)
+            res = residual((x, ell), (x_new, ell_new))
+            x, ell = x_new, ell_new
+            if not np.isfinite(res):
+                raise SolverDivergence(f"non-finite iterate at iteration {it}")
+            # The dual step z + Q(x, ell) - u reuses the projected blocks.
+            blocks = model.apply_Q(x, ell, g)
+            blocks += z
+            u = _project(blocks, pool, n_threads)
+            z = np.subtract(blocks, u, out=blocks)
+            if collect_trace:
+                obj_trace.append(model.objective_K(x, ell, y, wt, g))
+                dist_trace.append(float(np.mean(1.0 - np.linalg.norm(x, axis=1))))
+                res_trace.append(res)
+            if res < cfg.tol:
+                break
 
     obj = model.objective_K(x, ell, y, wt, g)
     dist = float(np.mean(1.0 - np.linalg.norm(x, axis=1)))
@@ -274,9 +297,7 @@ def solve_matrix_model(y, g: Graph, wt: Weights, cfg: SolverConfig, variant: str
 
     The normal equations of the block operator are diagonal with constants
     2*d*nu_n for the vertex variables and 2*d for the edge variables
-    (each component of z appears d times in M(z)).  Uses the LAPACK
-    eigendecomposition for the projection; this path is not the
-    performance-critical one.
+    (each component of z appears d times in M(z)).
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -300,14 +321,13 @@ def solve_matrix_model(y, g: Graph, wt: Weights, cfg: SolverConfig, variant: str
         ax, ar = adjoint_P(u - z, g, d)
         x_new = (ax + (wt.vertex_weights / cfg.rho)[:, None] * y) / (2.0 * d * nu[:, None])
         r_new = (ar + (wt.edge_weights / cfg.rho)[:, None] * e1) / (2.0 * d)
-        blocks = apply_P(x_new, r_new, g, d) + z
-        w, v = np.linalg.eigh(blocks)
-        u = (v * np.maximum(w, -1.0)[:, None, :]) @ v.transpose(0, 2, 1)
-        z = z + apply_P(x_new, r_new, g, d) - u
         res = residual((x, r), (x_new, r_new))
         x, r = x_new, r_new
         if not np.isfinite(res):
             raise SolverDivergence(f"non-finite iterate at iteration {it}")
+        blocks = apply_P(x, r, g, d) + z
+        u = project_shifted_psd(blocks)
+        z = blocks - u
         if res < cfg.tol:
             break
     return x, r

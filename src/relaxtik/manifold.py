@@ -6,6 +6,7 @@ the representative with nonnegative real part, with ties broken by making
 the first nonzero imaginary component positive.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,9 +197,9 @@ def lift_signs(quats, g: Graph) -> LiftResult:
         adj[b].append(a)
     visited = np.zeros(g.n_vertices, dtype=bool)
     visited[0] = True
-    queue = [0]
+    queue = deque([0])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for u in adj[v]:
             if not visited[u]:
                 if float(q[u] @ q[v]) < 0.0:

@@ -8,8 +8,8 @@ For a signal x (N vectors in R^d) and per-edge scalars ell, every edge
         [ x_m^T ell    1  ]
 
 which is PSD with rank d exactly when x_n, x_m are unit vectors and
-ell = <x_n, x_m>.  The solver works with the shifted blocks Q - I, so the
-block builder here returns the unshifted Q and the shift lives in apply_Q.
+ell = <x_n, x_m>.  The solver works with the shifted blocks Q - I, which
+apply_Q builds; constraint_blocks returns the unshifted Q.
 """
 
 import itertools
@@ -17,7 +17,6 @@ import itertools
 import numpy as np
 
 from relaxtik.graph import Graph, Weights
-from relaxtik.smallsym import eigh_small, symmetrize
 
 __all__ = [
     "CapacityError",
@@ -79,18 +78,9 @@ def constraint_blocks(x, ell, g: Graph) -> np.ndarray:
     """All unshifted blocks Q_(n,m) as an (M, d+2, d+2) batch."""
     x = _check_signal(x, g)
     ell = _check_ell(ell, g)
-    d = x.shape[1]
-    m = g.m_edges
-    q = np.zeros((m, d + 2, d + 2))
-    q[:, np.arange(d + 2), np.arange(d + 2)] = 1.0
-    xn = x[g.first]
-    xm = x[g.second]
-    q[:, :d, d] = xn
-    q[:, d, :d] = xn
-    q[:, :d, d + 1] = xm
-    q[:, d + 1, :d] = xm
-    q[:, d, d + 1] = ell
-    q[:, d + 1, d] = ell
+    q = apply_Q(x, ell, g)
+    k = q.shape[-1]
+    q[:, np.arange(k), np.arange(k)] = 1.0
     return q
 
 
@@ -101,8 +91,7 @@ def lemma_feasibility_check(x_n, x_m, ell: float, tol: float = 1e-8) -> bool:
     decision uses the scale-invariant threshold tol * (largest eigenvalue):
     the block must have exactly two eigenvalues below it.
     """
-    q = build_constraint_block(x_n, x_m, ell)
-    w, _ = eigh_small(q)
+    w = np.linalg.eigvalsh(build_constraint_block(x_n, x_m, ell))
     thresh = tol * max(w[-1], 1.0)
     if w[0] < -thresh:
         return False
@@ -110,10 +99,23 @@ def lemma_feasibility_check(x_n, x_m, ell: float, tol: float = 1e-8) -> bool:
 
 
 def apply_Q(x, ell, g: Graph) -> np.ndarray:
-    """Shifted block field (Q_(n,m) - I) for all edges."""
-    q = constraint_blocks(x, ell, g)
-    k = q.shape[-1]
-    q[:, np.arange(k), np.arange(k)] -= 1.0
+    """Shifted block field (Q_(n,m) - I) for all edges.
+
+    Runs once per ADMM iteration and does not check its input: x must be an
+    (N, d) array and ell an (M,) array.  `constraint_blocks` is the checked
+    form, and `admm_solve` checks the signal once at entry.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[1]
+    q = np.zeros((g.m_edges, d + 2, d + 2))
+    xn = x[g.first]
+    xm = x[g.second]
+    q[:, :d, d] = xn
+    q[:, d, :d] = xn
+    q[:, :d, d + 1] = xm
+    q[:, d + 1, :d] = xm
+    q[:, d, d + 1] = ell
+    q[:, d + 1, d] = ell
     return q
 
 

@@ -1,30 +1,17 @@
-"""Dense symmetric linear algebra on small matrices (dimension 2..12).
+"""Projection of small symmetric blocks onto the shifted cone.
 
-The per-edge projection onto the shifted cone
-C = {A : A = A^T, A >= -I} dominates the solver runtime, so the
-eigendecomposition is a specialized in-repo routine: a cyclic Jacobi
-iteration with a round-robin ordering whose disjoint rotation pairs are
-applied simultaneously across a whole batch of matrices.  All functions
-accept a single (k, k) matrix or a batch of shape (M, k, k).
+Every ADMM iteration projects each per-edge (d+2) x (d+2) block onto
+C = {A : A = A^T, A >= -I} by clipping its eigenvalues at -1.  The
+eigendecomposition is LAPACK's (`np.linalg.eigh`), which runs over a whole
+batch of blocks in one call.  Functions accept a single (k, k) matrix or a
+batch of shape (M, k, k) with k in 2..12.
 """
 
 import numpy as np
 
-__all__ = [
-    "SingularBlockError",
-    "symmetrize",
-    "sym_eig",
-    "eigh_small",
-    "project_shifted_psd",
-    "is_psd",
-    "schur_complement",
-]
+__all__ = ["symmetrize", "project_shifted_psd"]
 
 MAX_DIM = 12
-
-
-class SingularBlockError(ValueError):
-    """Leading block of a Schur-complement partition is numerically singular."""
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -34,138 +21,20 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _check(a: np.ndarray):
-    k = a.shape[-1]
-    if a.shape[-2] != k:
-        raise ValueError("matrix must be square")
-    if not (2 <= k <= MAX_DIM):
-        raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {k}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-
-
-def _round_robin(k: int):
-    """Tournament schedule: rounds of disjoint index pairs covering all (p, q)."""
-    players = list(range(k)) + ([None] if k % 2 else [])
-    n = len(players)
-    rounds = []
-    for _ in range(n - 1):
-        pairs = []
-        for i in range(n // 2):
-            a, b = players[i], players[n - 1 - i]
-            if a is not None and b is not None:
-                pairs.append((min(a, b), max(a, b)))
-        p = np.array([x for x, _ in pairs])
-        q = np.array([x for _, x in pairs])
-        rounds.append((p, q))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-_SCHEDULE = {k: _round_robin(k) for k in range(2, MAX_DIM + 1)}
-
-
-def eigh_small(a: np.ndarray, max_sweeps: int = 40, rtol: float = 1e-14):
-    """Batched symmetric eigendecomposition, eigenvalues ascending.
-
-    Returns (w, v) with a = v @ diag(w) @ v^T per batch entry and
-    orthogonal v (eigenvectors in columns).
-    """
-    a = symmetrize(a)
-    _check(a)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    if a.ndim != 3:
-        raise ValueError("expected a (k, k) matrix or an (M, k, k) batch")
-    a = a.copy()
-    m, k, _ = a.shape
-    v = np.zeros_like(a)
-    v[:, np.arange(k), np.arange(k)] = 1.0
-    scale = np.abs(a).max() if m else 0.0
-    offmask = ~np.eye(k, dtype=bool)
-    for _ in range(max_sweeps):
-        if scale == 0.0 or np.abs(a[:, offmask]).max() <= rtol * scale:
-            break
-        for p, q in _SCHEDULE[k]:
-            apq = a[:, p, q]
-            app = a[:, p, p]
-            aqq = a[:, q, q]
-            skip = np.abs(apq) <= 1e-300
-            tau = (aqq - app) / np.where(skip, 1.0, 2.0 * apq)
-            t = 1.0 / (tau + np.where(tau >= 0.0, 1.0, -1.0) * np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c = np.where(skip, 1.0, c)
-            s = np.where(skip, 0.0, s)
-            cc = c[:, None, :]
-            ss = s[:, None, :]
-            ap = a[:, :, p]
-            aq = a[:, :, q]
-            a[:, :, p] = cc * ap - ss * aq
-            a[:, :, q] = ss * ap + cc * aq
-            cc = c[:, :, None]
-            ss = s[:, :, None]
-            ap = a[:, p, :]
-            aq = a[:, q, :]
-            a[:, p, :] = cc * ap - ss * aq
-            a[:, q, :] = ss * ap + cc * aq
-            cc = c[:, None, :]
-            ss = s[:, None, :]
-            vp = v[:, :, p]
-            vq = v[:, :, q]
-            v[:, :, p] = cc * vp - ss * vq
-            v[:, :, q] = ss * vp + cc * vq
-    w = a[:, np.arange(k), np.arange(k)]
-    order = np.argsort(w, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    if single:
-        return w[0], v[0]
-    return w, v
-
-
-def sym_eig(a: np.ndarray):
-    """Eigendecomposition of one small symmetric matrix (ascending values)."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("sym_eig expects a single matrix")
-    return eigh_small(a)
-
-
 def project_shifted_psd(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest point of C = {A symmetric, A >= -I}.
 
-    Clips the eigenvalues at -1: V max(Sigma, -1) V^T.
+    Clips the eigenvalues at -1: V max(Sigma, -1) V^T.  Raises ValueError
+    for anything but a finite square (k, k) or (M, k, k) array with
+    2 <= k <= 12.
     """
-    w, v = eigh_small(a)
-    w = np.maximum(w, -1.0)
-    out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return symmetrize(out)
-
-
-def is_psd(a: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue is >= -tol (single matrix)."""
-    w, _ = eigh_small(a)
-    return bool(w[..., 0] >= -tol)
-
-
-def schur_complement(w: np.ndarray, k: int) -> np.ndarray:
-    """B - C^T A^{-1} C for the partition with A the leading k x k block."""
-    w = symmetrize(w)
-    _check(w)
-    if w.ndim != 2:
-        raise ValueError("schur_complement expects a single matrix")
-    if not (1 <= k < w.shape[0]):
-        raise ValueError("block size k must satisfy 1 <= k < dim")
-    a = w[:k, :k]
-    c = w[:k, k:]
-    b = w[k:, k:]
-    if k == 1:
-        smin = abs(a[0, 0])
-    else:
-        ew, _ = eigh_small(a)
-        smin = np.abs(ew).min()
-    if smin <= 1e-12:
-        raise SingularBlockError("leading block is numerically singular")
-    return b - c.T @ np.linalg.solve(a, c)
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError("expected a square (k, k) matrix or an (M, k, k) batch")
+    if not (2 <= a.shape[-1] <= MAX_DIM):
+        raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {a.shape[-1]}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    w, v = np.linalg.eigh(symmetrize(a))
+    np.maximum(w, -1.0, out=w)
+    return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))

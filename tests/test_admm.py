@@ -1,9 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from relaxtik import synth
+from relaxtik import admm, model, synth
 from relaxtik.admm import (
     SolverConfig,
+    SolverDivergence,
     adjoint_P,
     admm_solve,
     apply_P,
@@ -29,6 +32,9 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
+    for bad in ({"rho": np.nan}, {"rho": np.inf}, {"tol": np.nan}, {"tol": np.inf}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 def test_zero_noise_idempotence():
@@ -78,6 +84,57 @@ def test_threaded_block_update_matches_sequential():
     seq = block_update(x, ell, z, g, n_threads=1)
     par = block_update(x, ell, z, g, n_threads=4)
     assert np.abs(seq - par).max() < 1e-12
+
+
+def test_threaded_solve_creates_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "ThreadPoolExecutor", CountingPool)
+    y = synth.add_vmf_noise(synth.smooth_circle_signal(40, 4), 10.0, 5)
+    g = line_graph(40)
+    wt = Weights.constant(g, 1.0, 5.0)
+    cfg = SolverConfig(max_iter=30, tol=0.0)
+    seq = admm_solve(y, g, wt, cfg)
+    assert pools == []
+    par = admm_solve(y, g, wt, cfg, n_threads=2)
+    assert len(pools) == 1
+    assert np.abs(seq.x - par.x).max() < 1e-12
+
+
+def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
+    calls = {"apply_Q": 0, "degree_table": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(model, "apply_Q", counted("apply_Q", model.apply_Q))
+    monkeypatch.setattr(admm, "degree_table", counted("degree_table", admm.degree_table))
+    y = synth.add_vmf_noise(synth.smooth_circle_signal(30, 1), 10.0, 2)
+    g = line_graph(30)
+    res = admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
+    assert res.iterations == 25
+    assert calls == {"apply_Q": 25, "degree_table": 1}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_iterate_raises_divergence():
+    # 1/rho overflows, so the first primal update is not finite
+    y = synth.smooth_circle_signal(10, 3)
+    g = line_graph(10)
+    with pytest.raises(SolverDivergence, match="iteration 1$"):
+        admm_solve(y, g, Weights.constant(g), SolverConfig(rho=1e-320))
+    with pytest.raises(SolverDivergence, match="iteration 1$"):
+        solve_matrix_model(y, g, Weights.constant(g), SolverConfig(rho=1e-320), "complex_d2")
 
 
 def test_retract_and_result_fields():

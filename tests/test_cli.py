@@ -142,6 +142,10 @@ def test_exit_codes(tmp_path):
     sig = tmp_path / "sig.csv"
     fileio.write_signal_csv(sig, synth.smooth_circle_signal(5, 7))
     assert run(["denoise", sig, "--graph", "hexagon"]) == 2
+    for flag in (["--rho", "nan"], ["--tol", "nan"], ["--rho", "inf"]):
+        assert run(["denoise", sig, "--graph", "line", "--outdir", tmp_path / "o", *flag]) == 2
+    assert run(["denoise", sig, "--graph", "line", "--outdir", tmp_path / "o",
+                "--rho", "1e-320"]) == 3
     with pytest.raises(SystemExit) as exc:
         run(["experiment", "not-an-experiment"])
     assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,40 @@ def test_lift_signs_reports_cycle_violation():
     assert len(out.violations) == 1
     dots = np.einsum("ed,ed->e", out.lifted[g.first], out.lifted[g.second])
     assert (dots < -1e-12).sum() == 1
+
+
+def test_lift_signs_star_graph_linear_time():
+    # 10^5 leaves around a hub in the middle: breadth-first search from
+    # vertex 1 (a leaf) reaches the hub, then every other leaf from it
+    rng = np.random.default_rng(11)
+    n = 100_001
+    hub = n // 2
+    leaves = np.delete(np.arange(1, n + 1), hub - 1)
+    star = from_edge_pairs(n, np.column_stack([np.full(n - 1, hub), leaves]))
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+
+    def best_time(g):
+        times = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            out = lift_signs(q, g)
+            times.append(time.perf_counter() - t0)
+        return out, min(times)
+
+    out, t_star = best_time(star)
+    expect = q.copy()
+    if expect[hub - 1] @ expect[0] < 0.0:
+        expect[hub - 1] *= -1.0
+    flip = expect @ expect[hub - 1] < 0.0
+    flip[[0, hub - 1]] = False
+    expect[flip] *= -1.0
+    assert out.consistent
+    assert np.array_equal(out.lifted, expect)
+    # a path of the same size keeps the queue short; the star must not cost
+    # much more than it
+    _, t_path = best_time(line_graph(n))
+    assert t_star < 2.0 * t_path, f"star {t_star:.3f} s vs path {t_path:.3f} s"
 
 
 def test_lift_signs_input_checks():
