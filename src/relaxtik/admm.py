@@ -1,14 +1,9 @@
-"""ADMM for the simplified relaxed real model, plus the matrix-model variant.
+"""ADMM for the simplified relaxed real model.
 
 The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
-
-`solve_matrix_model` runs the same skeleton on the non-simplified relaxed
-models whose per-edge blocks are built from d x d matrix representations
-(6 x 6 blocks for circle data, 12 x 12 for quaternion data).  It exists to
-verify numerically that both models reach the same solutions and is meant
-for small instances only.
+The matrix-model variant, which verifies this solver, is in `verify`.
 """
 
 import math
@@ -28,15 +23,9 @@ __all__ = [
     "DenoiseResult",
     "SolverDivergence",
     "primal_update",
-    "block_update",
-    "dual_update",
     "residual",
+    "normalize_rows",
     "admm_solve",
-    "solve_matrix_model",
-    "matrix_rep_basis",
-    "apply_P",
-    "adjoint_P",
-    "matrix_model_objective",
 ]
 
 
@@ -114,29 +103,14 @@ def _project(blocks, pool, n_threads: int) -> np.ndarray:
     return np.concatenate(list(pool.map(project_shifted_psd, np.array_split(blocks, n_threads))))
 
 
+def normalize_rows(x) -> np.ndarray:
+    """Each row divided by its norm; rows of norm below 1e-12 are kept."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms < 1e-12, 1.0, norms)
+
+
 def _pool(n_threads: int):
     return ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else nullcontext()
-
-
-def block_update(x, ell, z, g: Graph, n_threads: int = 1) -> np.ndarray:
-    """Project every shifted block plus its multiplier onto C = {A >= -I}."""
-    blocks = model.apply_Q(x, ell, g) + np.asarray(z, dtype=float)
-    with _pool(n_threads) as pool:
-        return _project(blocks, pool, n_threads)
-
-
-def dual_update(z, x, ell, u, g: Graph) -> np.ndarray:
-    return np.asarray(z, dtype=float) + model.apply_Q(x, ell, g) - np.asarray(u, dtype=float)
-
-
-def _retract(x):
-    norms = np.linalg.norm(x, axis=1)
-    collapsed = np.flatnonzero(norms < 1e-12)
-    safe = norms.copy()
-    safe[collapsed] = 1.0
-    out = x / safe[:, None]
-    out[collapsed] = x[collapsed]
-    return out, [int(i) + 1 for i in collapsed]
 
 
 def admm_solve(
@@ -153,7 +127,8 @@ def admm_solve(
     cfg.tol, or after cfg.max_iter iterations.  With cfg.retract the output
     signal is normalized onto the sphere; near-zero vectors are left alone
     and reported in collapsed_vertices.  Raises SolverDivergence at the
-    first iteration whose (x, ell) is not finite.
+    first iteration whose (x, ell) is not finite; numpy's floating-point
+    warnings on the way there are silenced, since the exception reports it.
     """
     y = np.asarray(y, dtype=float)
     wt.check_graph(g)
@@ -162,6 +137,8 @@ def admm_solve(
     n, d = y.shape
     if n != g.n_vertices or d not in model.SUPPORTED_DIMS:
         raise ValueError("input signal has wrong shape")
+    if n_threads < 1:
+        raise ValueError("threads must be at least 1")
     m, k = g.m_edges, d + 2
     nu = _degrees(g)
 
@@ -173,7 +150,7 @@ def admm_solve(
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf
-    with _pool(n_threads) as pool:
+    with _pool(n_threads) as pool, np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):
             x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu)
             res = residual((x, ell), (x_new, ell_new))
@@ -196,7 +173,8 @@ def admm_solve(
     dist = float(np.mean(1.0 - np.linalg.norm(x, axis=1)))
     collapsed = []
     if cfg.retract:
-        x, collapsed = _retract(x)
+        collapsed = [int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) < 1e-12)]
+        x = normalize_rows(x)
     return DenoiseResult(
         x=x,
         ell=ell,
@@ -210,124 +188,3 @@ def admm_solve(
         sphere_distance_trace=np.asarray(dist_trace) if collect_trace else None,
         residual_trace=np.asarray(res_trace) if collect_trace else None,
     )
-
-
-# --- matrix-model variant -------------------------------------------------
-#
-# Per edge the block is
-#
-#     P = [ I_d      M(x_n)   M(x_m) ]
-#         [ M(x_n)^T  I_d     M(r)^T ]
-#         [ M(x_m)^T  M(r)    I_d    ]
-#
-# with M the d x d matrix representation of the complex numbers (d = 2) or
-# quaternions (d = 4).  The operator is P - I_{3d}; both x_n and r live in
-# R^d.  Only the first component of r enters the objective.
-
-_VARIANTS = {"complex_d2": 2, "quaternion_d4": 4}
-
-
-def matrix_rep_basis(d: int) -> np.ndarray:
-    """Basis matrices B_k = M(e_k), so that M(z) = sum_k z_k B_k."""
-    from relaxtik.manifold import matrix_rep
-
-    eye = np.eye(d)
-    return np.stack([matrix_rep(eye[i], d) for i in range(d)])
-
-
-def _mat_rep(vecs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # (M, d) -> (M, d, d)
-    return np.einsum("ek,kij->eij", vecs, basis)
-
-
-def apply_P(x, r, g: Graph, d: int) -> np.ndarray:
-    """Shifted matrix-model block field (P - I) for all edges."""
-    basis = matrix_rep_basis(d)
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    m = g.m_edges
-    p = np.zeros((m, 3 * d, 3 * d))
-    mn = _mat_rep(x[g.first], basis)
-    mm = _mat_rep(x[g.second], basis)
-    mr = _mat_rep(r, basis)
-    p[:, :d, d : 2 * d] = mn
-    p[:, d : 2 * d, :d] = mn.transpose(0, 2, 1)
-    p[:, :d, 2 * d :] = mm
-    p[:, 2 * d :, :d] = mm.transpose(0, 2, 1)
-    p[:, d : 2 * d, 2 * d :] = mr.transpose(0, 2, 1)
-    p[:, 2 * d :, d : 2 * d] = mr
-    return p
-
-
-def adjoint_P(u, g: Graph, d: int):
-    """Adjoint of apply_P split into the vertex part and the edge part.
-
-    Uses <M(z), A> = sum_k z_k <B_k, A>, i.e. contraction against the
-    representation basis.
-    """
-    basis = matrix_rep_basis(d)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.m_edges, 3 * d, 3 * d):
-        raise ValueError("block field has inconsistent shape")
-    slots_first = u[:, :d, d : 2 * d] + u[:, d : 2 * d, :d].transpose(0, 2, 1)
-    slots_second = u[:, :d, 2 * d :] + u[:, 2 * d :, :d].transpose(0, 2, 1)
-    slots_r = u[:, 2 * d :, d : 2 * d] + u[:, d : 2 * d, 2 * d :].transpose(0, 2, 1)
-    cf = np.einsum("eij,kij->ek", slots_first, basis)
-    cs = np.einsum("eij,kij->ek", slots_second, basis)
-    x_part = np.zeros((g.n_vertices, d))
-    np.add.at(x_part, g.first, cf)
-    np.add.at(x_part, g.second, cs)
-    r_part = np.einsum("eij,kij->ek", slots_r, basis)
-    return x_part, r_part
-
-
-def matrix_model_objective(x, r, y, wt: Weights, g: Graph) -> float:
-    """-sum w_n <x_n, y_n> - sum lambda Re[r]; only Re[r] = r[..., 0] enters."""
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(
-        -np.sum(wt.vertex_weights * np.einsum("nd,nd->n", x, y))
-        - np.sum(wt.edge_weights * r[:, 0])
-    )
-
-
-def solve_matrix_model(y, g: Graph, wt: Weights, cfg: SolverConfig, variant: str):
-    """ADMM on the non-simplified relaxed model (verification solver).
-
-    The normal equations of the block operator are diagonal with constants
-    2*d*nu_n for the vertex variables and 2*d for the edge variables
-    (each component of z appears d times in M(z)).
-    """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    d = _VARIANTS[variant]
-    y = np.asarray(y, dtype=float)
-    wt.check_graph(g)
-    if y.shape != (g.n_vertices, d):
-        raise ValueError("input signal has wrong shape for this variant")
-    if g.n_vertices > 50:
-        raise ValueError("matrix-model solver is limited to N <= 50")
-    nu = degree_table(g)
-    n, m, k = g.n_vertices, g.m_edges, 3 * d
-
-    x = np.zeros((n, d))
-    r = np.zeros((m, d))
-    u = np.zeros((m, k, k))
-    z = np.zeros((m, k, k))
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    for it in range(1, cfg.max_iter + 1):
-        ax, ar = adjoint_P(u - z, g, d)
-        x_new = (ax + (wt.vertex_weights / cfg.rho)[:, None] * y) / (2.0 * d * nu[:, None])
-        r_new = (ar + (wt.edge_weights / cfg.rho)[:, None] * e1) / (2.0 * d)
-        res = residual((x, r), (x_new, r_new))
-        x, r = x_new, r_new
-        if not np.isfinite(res):
-            raise SolverDivergence(f"non-finite iterate at iteration {it}")
-        blocks = apply_P(x, r, g, d) + z
-        u = project_shifted_psd(blocks)
-        z = blocks - u
-        if res < cfg.tol:
-            break
-    return x, r

@@ -11,17 +11,10 @@ import sys
 
 import numpy as np
 
-from relaxtik import fileio, synth
-from relaxtik.admm import SolverConfig, SolverDivergence, admm_solve
+from relaxtik import fileio, pipeline, synth
+from relaxtik.admm import SolverConfig, SolverDivergence
 from relaxtik.experiments import EXPERIMENT_DEFAULTS, run_experiment
-from relaxtik.graph import (
-    Weights,
-    grid_graph,
-    line_graph,
-    read_edge_list,
-    read_vector,
-)
-from relaxtik.manifold import lift_signs, quat_to_rotation, rotation_to_quat
+from relaxtik.graph import Weights, grid_graph, line_graph, read_edge_list, read_vector
 
 __all__ = ["main"]
 
@@ -34,8 +27,6 @@ def _add_solver_flags(p):
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--retract", action="store_true", default=None,
-                   help="normalize the output onto the sphere")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON file with defaults")
@@ -54,10 +45,11 @@ def _build_parser():
     d.add_argument("--graph", default=None,
                    help="line | grid:HxW | edgelist:<path> "
                         "(image modes infer the grid from the image)")
-    d.add_argument("--mode", choices=("sphere", "hue", "chroma", "so3"),
-                   default="sphere")
+    d.add_argument("--mode", choices=pipeline.KINDS, default="sphere")
     d.add_argument("--d", type=int, choices=(2, 3, 4), default=None,
                    help="signal dimension (sphere mode; inferred from the file)")
+    d.add_argument("--retract", action="store_true", default=None,
+                   help="normalize the output onto the sphere")
     _add_solver_flags(d)
 
     e = sub.add_parser("experiment", help="run a named benchmark experiment")
@@ -85,10 +77,10 @@ def _load_config_file(path):
     return cfg
 
 
-def _merged(args, file_cfg, keys, defaults):
+def _merged(args, file_cfg, defaults):
     """Precedence: built-in defaults < config file < command-line flags."""
     out = dict(defaults)
-    for k in keys:
+    for k in defaults:
         if k == "lam" and "lambda" in file_cfg:
             out[k] = file_cfg["lambda"]
         if k in file_cfg:
@@ -135,21 +127,8 @@ def _parse_graph(spec, n_vertices):
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
-def _solver_pieces(args, file_cfg):
-    cfg = _merged(
-        args,
-        file_cfg,
-        ("rho", "max_iter", "tol", "retract", "seed", "threads", "lam", "w"),
-        {"rho": 3.0, "max_iter": 600, "tol": 1e-4, "retract": False,
-         "seed": 0, "threads": 1, "lam": 1.0, "w": 1.0},
-    )
-    solver = SolverConfig(
-        rho=float(cfg["rho"]),
-        max_iter=int(cfg["max_iter"]),
-        tol=float(cfg["tol"]),
-        retract=bool(cfg["retract"]),
-    )
-    return cfg, solver
+_DENOISE_DEFAULTS = {"rho": 3.0, "max_iter": 600, "tol": 1e-4, "retract": False,
+                     "seed": 0, "threads": 1, "lam": 1.0, "w": 1.0}
 
 
 def _write_trace(path, res):
@@ -168,42 +147,32 @@ def _write_trace(path, res):
 
 
 def _cmd_denoise(args):
-    file_cfg = _load_config_file(args.config)
-    cfg, solver = _solver_pieces(args, file_cfg)
+    cfg = _merged(args, _load_config_file(args.config), _DENOISE_DEFAULTS)
+    solver = SolverConfig(
+        rho=float(cfg["rho"]),
+        max_iter=int(cfg["max_iter"]),
+        tol=float(cfg["tol"]),
+        retract=bool(cfg["retract"]),
+    )
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
-    report = {"mode": args.mode, "input": args.input, "config": dict(cfg)}
 
     if args.mode in ("hue", "chroma"):
-        img = fileio.read_ppm(args.input)
-        h, w, _ = img.shape
-        g = grid_graph(h, w)
-        if args.mode == "hue":
-            hue, sat, val, _ = synth.rgb_to_hsv(img)
-            y = hue.reshape(-1, 2)
-        else:
-            chroma, bright, _ = synth.rgb_to_chromaticity_brightness(img)
-            y = chroma.reshape(-1, 3)
+        data = fileio.read_ppm(args.input)
+        g = grid_graph(*data.shape[:2])
     else:
         if args.mode == "so3":
-            rots = fileio.read_rotations(args.input)
-            quats = np.stack([rotation_to_quat(r) for r in rots])
+            data = fileio.read_rotations(args.input)
         else:
-            y = fileio.read_signal_csv(args.input)
-            if args.d is not None and y.shape[1] != args.d:
+            data = fileio.read_signal_csv(args.input)
+            if args.d is not None and data.shape[1] != args.d:
                 raise ValueError(
-                    f"signal has d = {y.shape[1]}, but --d {args.d} was given"
+                    f"signal has d = {data.shape[1]}, but --d {args.d} was given"
                 )
-        n = quats.shape[0] if args.mode == "so3" else y.shape[0]
-        g, file_lam = _parse_graph(args.graph, n)
+        g, file_lam = _parse_graph(args.graph, data.shape[0])
         if file_lam is not None and cfg["lam"] == 1.0 and args.lam is None:
             cfg["lam"] = file_lam
-        if args.mode == "so3":
-            lift = lift_signs(quats, g)
-            y = lift.lifted
-            report["consistent"] = lift.consistent
-            if lift.violations:
-                report["lift_violations"] = lift.violations
+    y, ctx = pipeline.to_sphere(args.mode, data, g)
 
     wt = Weights(
         _float_or_file(cfg["w"], g.n_vertices, 1.0),
@@ -211,91 +180,60 @@ def _cmd_denoise(args):
         if isinstance(cfg["lam"], np.ndarray)
         else _float_or_file(cfg["lam"], g.m_edges, 1.0),
     )
-    report["config"] = dict(cfg)  # may include weights read from the edge list
-    res = admm_solve(y, g, wt, solver, collect_trace=True,
-                     n_threads=int(cfg["threads"]))
-
-    norms = np.linalg.norm(res.x, axis=1, keepdims=True)
-    unit = res.x / np.where(norms < 1e-12, 1.0, norms)
-    report.update(
-        iterations=res.iterations,
-        final_residual=res.final_residual,
-        objective=res.objective_K,
-        mean_sphere_distance=res.mean_sphere_distance,
-        wall_time_seconds=res.wall_time_seconds,
-        threads=int(cfg["threads"]),
-        collapsed_vertices=res.collapsed_vertices,
-    )
+    res, unit, decoded = pipeline.solve(args.mode, y, ctx, g, wt, solver,
+                                        collect_trace=True, n_threads=int(cfg["threads"]))
+    report = {
+        "mode": args.mode,
+        "input": args.input,
+        "config": dict(cfg),  # may include weights read from the edge list
+        "iterations": res.iterations,
+        "final_residual": res.final_residual,
+        "objective": res.objective_K,
+        "mean_sphere_distance": res.mean_sphere_distance,
+        "wall_time_seconds": res.wall_time_seconds,
+        "threads": int(cfg["threads"]),
+        "collapsed_vertices": res.collapsed_vertices,
+    }
+    if args.mode == "so3":
+        report["consistent"] = ctx.consistent
+        if ctx.violations:
+            report["lift_violations"] = ctx.violations
 
     sig_path = os.path.join(outdir, "signal.csv")
     if args.mode == "so3":
-        rows = np.stack([rotation_to_quat(quat_to_rotation(q)) for q in unit])
-        np.savetxt(sig_path, rows, fmt="%.17g")
+        fileio.write_rotations(sig_path, decoded)
     else:
-        out = unit if (args.mode in ("hue", "chroma") or solver.retract) else res.x
-        fileio.write_signal_csv(sig_path, out)
-    if args.mode == "hue":
-        rgb = synth.hue_to_rgb(unit.reshape(img.shape[0], img.shape[1], 2), sat, val)
-        fileio.write_ppm(os.path.join(outdir, "denoised.ppm"), rgb)
-    elif args.mode == "chroma":
-        rgb = synth.chromaticity_brightness_to_rgb(
-            unit.reshape(img.shape[0], img.shape[1], 3), bright
-        )
-        fileio.write_ppm(os.path.join(outdir, "denoised.ppm"), rgb)
-
+        raw = args.mode == "sphere" and not solver.retract
+        fileio.write_signal_csv(sig_path, res.x if raw else unit)
+    if args.mode in ("hue", "chroma"):
+        fileio.write_ppm(os.path.join(outdir, "denoised.ppm"), decoded)
     _write_trace(os.path.join(outdir, "trace.csv"), res)
     fileio.write_report(os.path.join(outdir, "report.json"), report)
     return 0
 
 
 def _cmd_experiment(args):
-    file_cfg = _load_config_file(args.config)
-    defaults = EXPERIMENT_DEFAULTS[args.name]
-    overrides = {}
-    for key in defaults:
-        if key in file_cfg:
-            overrides[key] = file_cfg[key]
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[key] = flag
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    threads = args.threads if args.threads is not None else file_cfg.get("threads", 1)
-
-    report = run_experiment(args.name, seed=int(seed), overrides=overrides,
-                            collect_trace=True, n_threads=int(threads))
+    defaults = {**EXPERIMENT_DEFAULTS[args.name], "seed": 0, "threads": 1}
+    cfg = _merged(args, _load_config_file(args.config), defaults)
+    seed, threads = int(cfg.pop("seed")), int(cfg.pop("threads"))
+    report = run_experiment(args.name, seed=seed, overrides=cfg,
+                            collect_trace=True, n_threads=threads)
 
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     fileio.write_signal_csv(os.path.join(outdir, "signal.csv"), report.denoised)
     fileio.write_signal_csv(os.path.join(outdir, "truth.csv"), report.truth)
     fileio.write_signal_csv(os.path.join(outdir, "noisy.csv"), report.noisy)
-    for key in ("image", "noisy_image", "denoised_image"):
-        if key in report.extra:
-            fileio.write_ppm(os.path.join(outdir, key + ".ppm"), report.extra[key])
-
-    rows = np.column_stack(
-        [
-            np.arange(1, report.iterations + 1),
-            report.objective_trace,
-            report.sphere_distance_trace,
-            report.residual_trace,
-        ]
-    )
-    np.savetxt(
-        os.path.join(outdir, "trace.csv"),
-        rows,
-        fmt="%.17g",
-        delimiter=",",
-        header="iteration,objective,sphere_distance,residual",
-        comments="",
-    )
+    for key, img in report.images.items():
+        fileio.write_ppm(os.path.join(outdir, key + ".ppm"), img)
+    _write_trace(os.path.join(outdir, "trace.csv"), report.result)
     summary = report.summary_dict()
-    summary["threads"] = int(threads)
+    summary["threads"] = threads
     fileio.write_report(os.path.join(outdir, "report.json"), summary)
     print(
-        f"{args.name}: {report.iterations} iterations, "
+        f"{args.name}: {report.result.iterations} iterations, "
         f"rmse {report.rmse:.6g}, "
-        f"mean sphere distance {report.mean_sphere_distance:.6g}"
+        f"mean sphere distance {report.result.mean_sphere_distance:.6g}"
     )
     return 0
 

@@ -1,20 +1,20 @@
 """Named benchmark experiments with reproducible seeded defaults.
 
 Each experiment generates a smooth ground truth, perturbs it with
-von Mises-Fisher noise, denoises it with the ADMM solver, and collects the
-traces and error metrics into an ExperimentReport.  The defaults (graph
-sizes, concentrations, regularization) are the registry below; every value
-can be overridden.
+von Mises-Fisher noise (SO(3) noise for rotations), denoises it through
+`pipeline`, and collects the result and error metrics into an
+ExperimentReport.  The defaults (graph sizes, concentrations,
+regularization) are the registry below; every value can be overridden.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from relaxtik import synth
-from relaxtik.admm import SolverConfig, admm_solve
-from relaxtik.graph import Graph, Weights, grid_graph, line_graph
-from relaxtik.manifold import lift_signs, quat_to_rotation, rotation_to_quat
+from relaxtik import pipeline, synth
+from relaxtik.admm import DenoiseResult, SolverConfig
+from relaxtik.graph import Weights, grid_graph, line_graph
+from relaxtik.manifold import rotation_to_quat
 
 __all__ = ["ExperimentReport", "EXPERIMENT_DEFAULTS", "run_experiment"]
 
@@ -89,53 +89,29 @@ EXPERIMENT_DEFAULTS = {
 class ExperimentReport:
     name: str
     config: dict
-    iterations: int
-    wall_time_seconds: float
+    result: DenoiseResult
     rmse: float
-    mean_sphere_distance: float
-    final_residual: float
+    truth: np.ndarray
+    noisy: np.ndarray
+    denoised: np.ndarray
     lifting_consistent: bool | None = None
-    objective_trace: np.ndarray | None = None
-    sphere_distance_trace: np.ndarray | None = None
-    residual_trace: np.ndarray | None = None
-    truth: np.ndarray | None = None
-    noisy: np.ndarray | None = None
-    denoised: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
+    # Color experiments: "image", "noisy_image" and "denoised_image".
+    images: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
-        """JSON-ready content (config echo plus scalar metrics and traces)."""
+        """JSON-ready content (config echo plus scalar metrics)."""
         out = {
             "name": self.name,
             "config": dict(self.config),
-            "iterations": self.iterations,
-            "wall_time_seconds": self.wall_time_seconds,
+            "iterations": self.result.iterations,
+            "wall_time_seconds": self.result.wall_time_seconds,
             "rmse": self.rmse,
-            "mean_sphere_distance": self.mean_sphere_distance,
-            "final_residual": self.final_residual,
+            "mean_sphere_distance": self.result.mean_sphere_distance,
+            "final_residual": self.result.final_residual,
         }
         if self.lifting_consistent is not None:
             out["lifting_consistent"] = self.lifting_consistent
         return out
-
-
-def _normalize_rows(x):
-    n = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(n < 1e-12, 1.0, n)
-
-
-def _solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(
-        rho=float(cfg["rho"]),
-        max_iter=int(cfg["max_iter"]),
-        tol=float(cfg["tol"]),
-    )
-
-
-def _graph_for(cfg: dict) -> Graph:
-    if "n" in cfg:
-        return line_graph(int(cfg["n"]))
-    return grid_graph(int(cfg["height"]), int(cfg["width"]))
 
 
 def run_experiment(
@@ -148,7 +124,8 @@ def run_experiment(
     """Run one named experiment and return its report.
 
     Precedence: registry defaults, then overrides.  The seed drives both
-    the ground-truth generator and the noise.
+    the ground-truth generator and the noise.  so3 truth quaternions take
+    the sign of the denoised row, since both signs name the same rotation.
     """
     if name not in EXPERIMENT_DEFAULTS:
         known = ", ".join(sorted(EXPERIMENT_DEFAULTS))
@@ -160,121 +137,53 @@ def run_experiment(
         cfg[key] = val
     cfg["seed"] = int(seed)
 
-    if name.startswith("so3"):
-        report = _run_so3(name, cfg, collect_trace, n_threads)
-    elif name in ("hue", "chroma"):
-        report = _run_color(name, cfg, collect_trace, n_threads)
+    kind = "so3" if name.startswith("so3") else name if name in ("hue", "chroma") else "sphere"
+    rng = np.random.default_rng(cfg["seed"])
+    on_line = "n" in cfg
+    shape = (int(cfg["n"]),) if on_line else (int(cfg["height"]), int(cfg["width"]))
+    if kind == "so3":
+        make_truth = synth.smooth_so3_signal if on_line else synth.smooth_so3_field
+    elif kind == "sphere":
+        make_truth = synth.smooth_circle_signal if on_line else synth.smooth_circle_field
     else:
-        report = _run_sphere(name, cfg, collect_trace, n_threads)
-    return report
+        make_truth = synth.smooth_color_image
+    truth_data = make_truth(*shape, rng)
+    g = line_graph(*shape) if on_line else grid_graph(*shape)
+    if kind == "so3":
+        noise = synth.So3NoiseParams(float(cfg["kappa1"]), float(cfg["kappa2"]))
+        y, ctx = pipeline.to_sphere(kind, synth.perturb_so3_signal(truth_data, noise, rng), g)
+    else:
+        truth, ctx = pipeline.to_sphere(kind, truth_data, g)
+        y = synth.add_vmf_noise(truth, float(cfg["kappa"]), rng)
 
+    wt = Weights.constant(g, float(cfg["w"]), float(cfg["lam"]))
+    solver = SolverConfig(
+        rho=float(cfg["rho"]), max_iter=int(cfg["max_iter"]), tol=float(cfg["tol"])
+    )
+    res, denoised, decoded = pipeline.solve(kind, y, ctx, g, wt, solver, collect_trace, n_threads)
 
-def _finish(name, cfg, g, y, truth, res):
-    denoised = _normalize_rows(res.x)
+    images = {}
+    if kind == "so3":
+        truth = np.stack([rotation_to_quat(r) for r in truth_data])
+        truth *= np.where(np.einsum("nd,nd->n", truth, denoised) < 0.0, -1.0, 1.0)[:, None]
+        # RMSE on rotation matrices: insensitive to the quaternion sign choice.
+        err = float(np.sqrt(np.mean(np.sum((decoded - truth_data) ** 2, axis=(1, 2)))))
+    else:
+        err = synth.rmse(denoised, truth)
+        if kind != "sphere":
+            images = {
+                "image": truth_data,
+                "noisy_image": pipeline.from_sphere(kind, y, ctx),
+                "denoised_image": decoded,
+            }
     return ExperimentReport(
         name=name,
-        config={
-            **cfg,
-            "n_vertices": g.n_vertices,
-            "m_edges": g.m_edges,
-        },
-        iterations=res.iterations,
-        wall_time_seconds=res.wall_time_seconds,
-        rmse=synth.rmse(denoised, truth),
-        mean_sphere_distance=res.mean_sphere_distance,
-        final_residual=res.final_residual,
-        lifting_consistent=None,
-        objective_trace=res.objective_trace,
-        sphere_distance_trace=res.sphere_distance_trace,
-        residual_trace=res.residual_trace,
+        config={**cfg, "n_vertices": g.n_vertices, "m_edges": g.m_edges},
+        result=res,
+        rmse=err,
         truth=truth,
         noisy=y,
         denoised=denoised,
+        lifting_consistent=ctx.consistent if kind == "so3" else None,
+        images=images,
     )
-
-
-def _run_sphere(name, cfg, collect_trace, n_threads):
-    rng = np.random.default_rng(cfg["seed"])
-    if "n" in cfg:
-        truth = synth.smooth_circle_signal(int(cfg["n"]), rng)
-    else:
-        truth = synth.smooth_circle_field(int(cfg["height"]), int(cfg["width"]), rng)
-    g = _graph_for(cfg)
-    y = synth.add_vmf_noise(truth, float(cfg["kappa"]), rng)
-    wt = Weights.constant(g, float(cfg["w"]), float(cfg["lam"]))
-    res = admm_solve(y, g, wt, _solver_config(cfg), collect_trace, n_threads)
-    return _finish(name, cfg, g, y, truth, res)
-
-
-def _run_color(name, cfg, collect_trace, n_threads):
-    rng = np.random.default_rng(cfg["seed"])
-    h, w = int(cfg["height"]), int(cfg["width"])
-    img = synth.smooth_color_image(h, w, rng)
-    g = grid_graph(h, w)
-    wt = Weights.constant(g, float(cfg["w"]), float(cfg["lam"]))
-    if name == "hue":
-        hue, sat, val, _ = synth.rgb_to_hsv(img)
-        truth = hue.reshape(-1, 2)
-        y = synth.add_vmf_noise(truth, float(cfg["kappa"]), rng)
-        res = admm_solve(y, g, wt, _solver_config(cfg), collect_trace, n_threads)
-        report = _finish(name, cfg, g, y, truth, res)
-        denoised_img = synth.hue_to_rgb(report.denoised.reshape(h, w, 2), sat, val)
-        noisy_img = synth.hue_to_rgb(y.reshape(h, w, 2), sat, val)
-    else:
-        chroma, bright, _ = synth.rgb_to_chromaticity_brightness(img)
-        truth = chroma.reshape(-1, 3)
-        y = synth.add_vmf_noise(truth, float(cfg["kappa"]), rng)
-        res = admm_solve(y, g, wt, _solver_config(cfg), collect_trace, n_threads)
-        report = _finish(name, cfg, g, y, truth, res)
-        denoised_img = synth.chromaticity_brightness_to_rgb(
-            report.denoised.reshape(h, w, 3), bright
-        )
-        noisy_img = synth.chromaticity_brightness_to_rgb(y.reshape(h, w, 3), bright)
-    report.extra = {
-        "image": img,
-        "noisy_image": noisy_img,
-        "denoised_image": denoised_img,
-    }
-    return report
-
-
-def _run_so3(name, cfg, collect_trace, n_threads):
-    rng = np.random.default_rng(cfg["seed"])
-    if "n" in cfg:
-        rots = synth.smooth_so3_signal(int(cfg["n"]), rng)
-    else:
-        rots = synth.smooth_so3_field(int(cfg["height"]), int(cfg["width"]), rng)
-    g = _graph_for(cfg)
-    noise = synth.So3NoiseParams(float(cfg["kappa1"]), float(cfg["kappa2"]))
-    noisy_rots = synth.perturb_so3_signal(rots, noise, rng)
-    quats = np.stack([rotation_to_quat(r) for r in noisy_rots])
-    lift = lift_signs(quats, g)
-    y = lift.lifted
-    wt = Weights.constant(g, float(cfg["w"]), float(cfg["lam"]))
-    res = admm_solve(y, g, wt, _solver_config(cfg), collect_trace, n_threads)
-    denoised = _normalize_rows(res.x)
-    denoised_rots = np.stack([quat_to_rotation(q) for q in denoised])
-    # RMSE on rotation matrices: insensitive to the quaternion sign choice.
-    err = float(np.sqrt(np.mean(np.sum((denoised_rots - rots) ** 2, axis=(1, 2)))))
-    report = ExperimentReport(
-        name=name,
-        config={**cfg, "n_vertices": g.n_vertices, "m_edges": g.m_edges},
-        iterations=res.iterations,
-        wall_time_seconds=res.wall_time_seconds,
-        rmse=err,
-        mean_sphere_distance=res.mean_sphere_distance,
-        final_residual=res.final_residual,
-        lifting_consistent=lift.consistent,
-        objective_trace=res.objective_trace,
-        sphere_distance_trace=res.sphere_distance_trace,
-        residual_trace=res.residual_trace,
-        truth=np.stack([rotation_to_quat(r) for r in rots]),
-        noisy=y,
-        denoised=denoised,
-    )
-    report.extra = {
-        "truth_rotations": rots,
-        "noisy_rotations": noisy_rots,
-        "denoised_rotations": denoised_rots,
-    }
-    return report

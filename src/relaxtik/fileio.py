@@ -1,7 +1,8 @@
 """File formats shared by the CLI: CSV signals, rotation files, PPM, JSON.
 
 All floating point values are serialized with 17 significant digits so
-round trips are exact for doubles.
+round trips are exact for doubles.  Signal and rotation readers accept
+comma- or whitespace-separated rows.
 """
 
 import json
@@ -29,7 +30,12 @@ def write_signal_csv(path, x: np.ndarray):
 
 
 def read_signal_csv(path) -> np.ndarray:
-    x = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    """Finite numeric rows, comma-separated if the file has a comma,
+    whitespace-separated otherwise."""
+    with open(path) as fh:
+        text = fh.read()
+    x = np.loadtxt(text.splitlines(), delimiter="," if "," in text else None,
+                   dtype=float, ndmin=2)
     if not np.isfinite(x).all():
         raise ValueError(f"{path}: non-finite values")
     return x
@@ -48,8 +54,8 @@ def read_rotations(path) -> np.ndarray:
     """
     from relaxtik.manifold import axis_angle_to_rotation, quat_to_rotation
 
-    raw = np.loadtxt(path, dtype=float, ndmin=2, delimiter=None)
-    if raw.ndim != 2 or raw.shape[1] not in (4, 9):
+    raw = read_signal_csv(path)
+    if raw.shape[1] not in (4, 9):
         raise ValueError(f"{path}: expected 4 or 9 columns per row")
     if raw.shape[1] == 9:
         return raw.reshape(-1, 3, 3)

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from relaxtik import synth
-from relaxtik.admm import (
-    SolverConfig,
-    admm_solve,
-    apply_P,
-    matrix_model_objective,
-    primal_update,
-    solve_matrix_model,
-)
+from relaxtik.admm import SolverConfig, admm_solve, primal_update
 from relaxtik.graph import Weights, from_edge_pairs, grid_graph, line_graph
 from relaxtik.manifold import (
     axis_angle_to_quat,
@@ -29,15 +22,15 @@ from relaxtik.manifold import (
     quat_to_rotation,
     rotation_to_quat,
 )
-from relaxtik.model import (
-    adjoint_Q,
-    apply_Q,
+from relaxtik.model import adjoint_Q, apply_Q, objective_K, objective_tikhonov
+from relaxtik.smallsym import project_shifted_psd
+from relaxtik.verify import (
+    apply_P,
     brute_force_min,
     lemma_feasibility_check,
-    objective_K,
-    objective_tikhonov,
+    matrix_model_objective,
+    solve_matrix_model,
 )
-from relaxtik.smallsym import project_shifted_psd
 
 
 def unit_rows(rng, n, d):

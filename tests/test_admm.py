@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from relaxtik import admm, model, synth
-from relaxtik.admm import (
-    SolverConfig,
-    SolverDivergence,
-    adjoint_P,
-    admm_solve,
-    apply_P,
-    block_update,
-    matrix_model_objective,
-    matrix_rep_basis,
-    primal_update,
-    solve_matrix_model,
-)
+from relaxtik.admm import SolverConfig, SolverDivergence, admm_solve, primal_update
 from relaxtik.graph import Weights, from_edge_pairs, line_graph
 from relaxtik.model import apply_Q, objective_K
+from relaxtik.verify import (
+    adjoint_P,
+    apply_P,
+    matrix_model_objective,
+    matrix_rep_basis,
+    solve_matrix_model,
+)
 
 
 def unit_rows(rng, n, d):
@@ -75,18 +71,8 @@ def test_solver_deterministic():
     assert np.array_equal(a.ell, b.ell)
 
 
-def test_threaded_block_update_matches_sequential():
-    rng = np.random.default_rng(6)
-    g = line_graph(50)
-    x = unit_rows(rng, 50, 3)
-    ell = rng.uniform(-1, 1, g.m_edges)
-    z = rng.standard_normal((g.m_edges, 5, 5))
-    seq = block_update(x, ell, z, g, n_threads=1)
-    par = block_update(x, ell, z, g, n_threads=4)
-    assert np.abs(seq - par).max() < 1e-12
-
-
-def test_threaded_solve_creates_one_pool(monkeypatch):
+@pytest.mark.parametrize("d, n_threads", [(2, 2), (3, 4)])
+def test_threaded_solve_creates_one_pool(monkeypatch, d, n_threads):
     pools = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -95,13 +81,14 @@ def test_threaded_solve_creates_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(admm, "ThreadPoolExecutor", CountingPool)
-    y = synth.add_vmf_noise(synth.smooth_circle_signal(40, 4), 10.0, 5)
+    truth = synth.smooth_circle_signal(40, 4) if d == 2 else synth.smooth_sphere_signal(40, d, 4)
+    y = synth.add_vmf_noise(truth, 10.0, 5)
     g = line_graph(40)
     wt = Weights.constant(g, 1.0, 5.0)
     cfg = SolverConfig(max_iter=30, tol=0.0)
     seq = admm_solve(y, g, wt, cfg)
     assert pools == []
-    par = admm_solve(y, g, wt, cfg, n_threads=2)
+    par = admm_solve(y, g, wt, cfg, n_threads=n_threads)
     assert len(pools) == 1
     assert np.abs(seq.x - par.x).max() < 1e-12
 

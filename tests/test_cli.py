@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ def test_config_file_precedence(tmp_path):
                 "--max-iter", 20, "--tol", 0, "--outdir", out2]) == 0
     rep2 = json.loads((out2 / "report.json").read_text())
     assert rep2["iterations"] == 20
+    # experiment reads the same keys, "lambda" included
+    out3 = tmp_path / "o3"
+    assert run(["experiment", "circle-line", "--n", 30, "--config", cfgp,
+                "--tol", 0, "--outdir", out3]) == 0
+    rep3 = json.loads((out3 / "report.json").read_text())
+    assert rep3["config"]["lam"] == 7.0
+    assert rep3["iterations"] == 55
+    out4 = tmp_path / "o4"
+    assert run(["experiment", "circle-line", "--n", 30, "--config", cfgp,
+                "--max-iter", 20, "--tol", 0, "--outdir", out4]) == 0
+    assert json.loads((out4 / "report.json").read_text())["iterations"] == 20
 
 
 def test_exit_codes(tmp_path):
@@ -146,9 +158,73 @@ def test_exit_codes(tmp_path):
         assert run(["denoise", sig, "--graph", "line", "--outdir", tmp_path / "o", *flag]) == 2
     assert run(["denoise", sig, "--graph", "line", "--outdir", tmp_path / "o",
                 "--rho", "1e-320"]) == 3
+    for threads in ("0", "-1"):
+        assert run(["denoise", sig, "--graph", "line", "--outdir", tmp_path / "o",
+                    "--threads", threads]) == 2
+        assert run(["experiment", "circle-line", "--n", 10, "--outdir", tmp_path / "e",
+                    "--threads", threads]) == 2
     with pytest.raises(SystemExit) as exc:
         run(["experiment", "not-an-experiment"])
     assert exc.value.code == 2
+    # --retract is a denoise flag only
+    with pytest.raises(SystemExit) as exc:
+        run(["experiment", "circle-line", "--n", 10, "--retract", "--outdir", tmp_path / "e"])
+    assert exc.value.code == 2
+
+
+def test_divergence_prints_only_the_error(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    fileio.write_signal_csv(sig, synth.smooth_circle_signal(5, 7))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["denoise", sig, "--graph", "line", "--outdir", tmp_path / "o",
+                  "--rho", "1e-320"])
+    assert rc == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: solver diverged: non-finite iterate at iteration 1"]
+
+
+def test_so3_truth_takes_the_signal_sign(tmp_path):
+    # at this size and seed the lifted signal and the canonical truth
+    # quaternions disagree in sign on some rows
+    exp = tmp_path / "exp"
+    assert run(["experiment", "so3-line", "--n", 200, "--seed", 0, "--outdir", exp]) == 0
+    x = fileio.read_signal_csv(exp / "signal.csv")
+    t = fileio.read_signal_csv(exp / "truth.csv")
+    assert np.abs(np.linalg.norm(t, axis=1) - 1.0).max() < 1e-12
+    sq = np.minimum(np.sum((x - t) ** 2, axis=1), np.sum((x + t) ** 2, axis=1))
+    assert run(["eval", exp / "signal.csv", exp / "truth.csv",
+                "--out", tmp_path / "m.json"]) == 0
+    rmse = json.loads((tmp_path / "m.json").read_text())["rmse"]
+    assert rmse == pytest.approx(np.sqrt(np.mean(sq)), rel=1e-12)
+    assert run(["eval", exp / "noisy.csv", exp / "truth.csv",
+                "--out", tmp_path / "n.json"]) == 0
+    assert rmse < json.loads((tmp_path / "n.json").read_text())["rmse"]
+
+
+def test_so3_files_round_trip_between_commands(tmp_path):
+    exp = tmp_path / "exp"
+    assert run(["experiment", "so3-line", "--n", 40, "--outdir", exp]) == 0
+    # denoise reads the experiment's comma-separated quaternion rows ...
+    den = tmp_path / "den"
+    assert run(["denoise", exp / "noisy.csv", "--mode", "so3", "--graph", "line",
+                "--lambda", 50, "--outdir", den]) == 0
+    # ... and eval reads denoise's whitespace-separated output
+    assert run(["eval", den / "signal.csv", exp / "truth.csv",
+                "--out", tmp_path / "m.json"]) == 0
+    q = np.loadtxt(den / "signal.csv")
+    assert q.shape == (40, 4)
+    t = fileio.read_signal_csv(exp / "truth.csv")
+    metrics = json.loads((tmp_path / "m.json").read_text())
+    assert metrics["rmse"] == pytest.approx(synth.rmse(q, t), rel=1e-12)
+    for name, text in (("nan.csv", "1,0,0,0\nnan,0,0,1\n"),
+                       ("nan.txt", "1 0 0 0\nnan 0 0 1\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert run(["denoise", bad, "--mode", "so3", "--graph", "line",
+                    "--outdir", tmp_path / "o"]) == 2
+        assert run(["eval", bad, bad]) == 2
 
 
 def test_eval_shape_mismatch(tmp_path):

@@ -19,6 +19,20 @@ def test_signal_csv_rejects_nan(tmp_path):
         fileio.read_signal_csv(p)
 
 
+def test_signal_and_rotation_rows_take_either_separator(tmp_path):
+    x = synth.smooth_sphere_signal(6, 4, 3)
+    spaced, commas = tmp_path / "spaced.txt", tmp_path / "commas.csv"
+    np.savetxt(spaced, x, fmt="%.17g")
+    fileio.write_signal_csv(commas, x)
+    assert np.array_equal(fileio.read_signal_csv(spaced), x)
+    assert np.array_equal(fileio.read_rotations(commas), fileio.read_rotations(spaced))
+    (tmp_path / "nan.txt").write_text("1 0 0 0\nnan 0 0 1\n")
+    with pytest.raises(ValueError):
+        fileio.read_signal_csv(tmp_path / "nan.txt")
+    with pytest.raises(ValueError):
+        fileio.read_rotations(tmp_path / "nan.txt")
+
+
 def test_rotations_quaternion_round_trip(tmp_path):
     r = synth.smooth_so3_signal(10, 1)
     p = tmp_path / "rots.txt"

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from relaxtik.graph import Weights, from_edge_pairs, line_graph
-from relaxtik.model import (
+from relaxtik.model import adjoint_Q, apply_Q, objective_K, objective_tikhonov
+from relaxtik.verify import (
     CapacityError,
-    adjoint_Q,
-    apply_Q,
     brute_force_min,
     build_constraint_block,
     constraint_blocks,
     lemma_feasibility_check,
-    objective_K,
-    objective_tikhonov,
 )
 
 
