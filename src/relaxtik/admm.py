@@ -146,6 +146,8 @@ def admm_solve(
     x = np.zeros((n, d))
     ell = np.zeros(m)
     u = np.zeros((m, k, k))
+    # The scaled dual z; each iteration adds Q(x, ell) - I to it in place,
+    # projects the sum, and subtracts the projection to take the dual step.
     z = np.zeros((m, k, k))
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
@@ -157,11 +159,9 @@ def admm_solve(
             x, ell = x_new, ell_new
             if not np.isfinite(res):
                 raise SolverDivergence(f"non-finite iterate at iteration {it}")
-            # The dual step z + Q(x, ell) - u reuses the projected blocks.
-            blocks = model.apply_Q(x, ell, g)
-            blocks += z
+            blocks = model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
             u = _project(blocks, pool, n_threads)
-            z = np.subtract(blocks, u, out=blocks)
+            z -= u
             if collect_trace:
                 obj_trace.append(model.objective_K(x, ell, y, wt, g))
                 dist_trace.append(float(np.mean(1.0 - np.linalg.norm(x, axis=1))))

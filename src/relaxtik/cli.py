@@ -19,10 +19,18 @@ from relaxtik.graph import Weights, grid_graph, line_graph, read_edge_list, read
 __all__ = ["main"]
 
 
+def _number_or_path(spec):
+    """A weight flag: its float value, or the string when it names a file."""
+    try:
+        return float(spec)
+    except ValueError:
+        return spec
+
+
 def _add_solver_flags(p):
-    p.add_argument("--lambda", dest="lam", default=None,
+    p.add_argument("--lambda", dest="lam", type=_number_or_path, default=None,
                    help="edge weight: a float or a path to a per-edge file")
-    p.add_argument("--w", dest="w", default=None,
+    p.add_argument("--w", dest="w", type=_number_or_path, default=None,
                    help="vertex weight: a float or a path to a per-vertex file")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)

@@ -164,7 +164,7 @@ def run_experiment(
 
     images = {}
     if kind == "so3":
-        truth = np.stack([rotation_to_quat(r) for r in truth_data])
+        truth = rotation_to_quat(truth_data)
         truth *= np.where(np.einsum("nd,nd->n", truth, denoised) < 0.0, -1.0, 1.0)[:, None]
         # RMSE on rotation matrices: insensitive to the quaternion sign choice.
         err = float(np.sqrt(np.mean(np.sum((decoded - truth_data) ** 2, axis=(1, 2)))))

@@ -61,10 +61,10 @@ def read_rotations(path) -> np.ndarray:
         return raw.reshape(-1, 3, 3)
     norms = np.linalg.norm(raw, axis=1)
     if np.abs(norms - 1.0).max() <= 1e-6:
-        return np.stack([quat_to_rotation(q / np.linalg.norm(q)) for q in raw])
+        return quat_to_rotation(raw / norms[:, None])
     axes = raw[:, :3]
     if np.abs(np.linalg.norm(axes, axis=1) - 1.0).max() <= 1e-6:
-        return np.stack([axis_angle_to_rotation(v, a) for v, a in zip(axes, raw[:, 3])])
+        return axis_angle_to_rotation(axes, raw[:, 3])
     raise ValueError(f"{path}: rows are neither unit quaternions nor axis-angle")
 
 
@@ -76,7 +76,7 @@ def write_rotations(path, rs: np.ndarray, layout: str = "quaternion"):
     if rs.ndim != 3 or rs.shape[1:] != (3, 3):
         raise ValueError("expected an (N, 3, 3) stack")
     if layout == "quaternion":
-        rows = np.stack([rotation_to_quat(r) for r in rs])
+        rows = rotation_to_quat(rs)
     elif layout == "matrix":
         rows = rs.reshape(-1, 9)
     else:

@@ -31,22 +31,25 @@ def _as_edge_array(edges) -> np.ndarray:
 
 
 def _is_connected(n_vertices: int, edges: np.ndarray) -> bool:
-    if n_vertices == 1:
-        return True
-    adj = [[] for _ in range(n_vertices)]
-    for a, b in edges - 1:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = np.zeros(n_vertices, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return bool(seen.all())
+    """Union-find in numpy.  Each round hooks every root under the smallest
+    root it shares an edge with, then every vertex jumps to its root; the
+    rounds stop once every edge joins two vertices of the same root.
+    Parents only ever point to smaller vertices, so vertex 0 is the root of
+    its component, and the graph is connected when it is everyone's."""
+    a, b = edges[:, 0] - 1, edges[:, 1] - 1
+    root = np.arange(n_vertices)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            return not root.any()
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ class Graph:
                 raise ValueError("edge endpoints must lie in 1..N")
             if not (e[:, 0] < e[:, 1]).all():
                 raise ValueError("edges must satisfy n < m")
-            packed = e[:, 0] * (n + 1) + e[:, 1]
-            if np.unique(packed).size != e.shape[0]:
+            packed = np.sort(e[:, 0] * (n + 1) + e[:, 1])
+            if (packed[1:] == packed[:-1]).any():
                 raise ValueError("duplicate edges are not allowed")
         if not _is_connected(n, e):
             raise ValueError("graph must be connected")
@@ -130,10 +133,8 @@ def grid_graph(height: int, width: int) -> Graph:
 
 def degree_table(g: Graph) -> np.ndarray:
     """Number of edges starting or ending in each vertex (nu_n)."""
-    nu = np.zeros(g.n_vertices, dtype=np.int64)
-    np.add.at(nu, g.first, 1)
-    np.add.at(nu, g.second, 1)
-    return nu
+    n = g.n_vertices
+    return np.bincount(g.first, minlength=n) + np.bincount(g.second, minlength=n)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Quaternions are stored as length-4 arrays (w, xi, xj, xk).  The unit
 quaternions q and -q describe the same rotation; conversions here return
 the representative with nonnegative real part, with ties broken by making
-the first nonzero imaginary component positive.
+the first nonzero imaginary component positive.  The conversions between
+rotations and quaternions take one value or a stack of them.
 """
 
 from collections import deque
@@ -59,8 +60,9 @@ def quat_norm(q) -> float:
 
 
 def _check_unit(v, name, tol=1e-8):
+    """v as a float array whose rows (or v itself) have unit norm."""
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    if np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() > tol:
         raise ValueError(f"{name} must be a unit vector")
     return v
 
@@ -75,84 +77,98 @@ def axis_angle_to_quat(axis, alpha: float) -> np.ndarray:
 
 
 def quat_to_rotation(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion; quadratic in q, so R(q) = R(-q)."""
+    """Rotation matrix of a unit quaternion; quadratic in q, so R(q) = R(-q).
+
+    Takes one quaternion (4,) or a stack (N, 4) and returns (3, 3) or
+    (N, 3, 3).
+    """
     q = np.asarray(q, dtype=float)
-    if abs(quat_norm(q) - 1.0) > 1e-8:
-        raise ValueError("quaternion must be unit")
-    w, x, y, z = q
-    return np.array(
+    if q.shape[-1:] != (4,) or q.ndim > 2:
+        raise ValueError("expected a quaternion (4,) or a stack (N, 4)")
+    _check_unit(q, "quaternion")
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    r = np.stack(
         [
-            [1 - 2 * y * y - 2 * z * z, 2 * x * y - 2 * z * w, 2 * x * z + 2 * y * w],
-            [2 * x * y + 2 * z * w, 1 - 2 * x * x - 2 * z * z, 2 * y * z - 2 * x * w],
-            [2 * x * z - 2 * y * w, 2 * y * z + 2 * x * w, 1 - 2 * x * x - 2 * y * y],
-        ]
+            1 - 2 * y * y - 2 * z * z, 2 * x * y - 2 * z * w, 2 * x * z + 2 * y * w,
+            2 * x * y + 2 * z * w, 1 - 2 * x * x - 2 * z * z, 2 * y * z - 2 * x * w,
+            2 * x * z - 2 * y * w, 2 * y * z + 2 * x * w, 1 - 2 * x * x - 2 * y * y,
+        ],
+        axis=-1,
     )
+    return r.reshape(q.shape[:-1] + (3, 3))
 
 
-def axis_angle_to_rotation(axis, alpha: float) -> np.ndarray:
-    """Rodrigues-form rotation matrix; satisfies R(v, a) = R(-v, -a)."""
+def axis_angle_to_rotation(axis, alpha) -> np.ndarray:
+    """Rodrigues-form rotation matrix; satisfies R(v, a) = R(-v, -a).
+
+    Takes one unit axis (3,) and angle, or a stack of axes (N, 3) and
+    angles (N,), and returns (3, 3) or (N, 3, 3).
+    """
     v = _check_unit(axis, "axis")
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,) or v.ndim > 2:
         raise ValueError("axis must be in R^3")
+    alpha = np.asarray(alpha, dtype=float)
     c, s = np.cos(alpha), np.sin(alpha)
-    v1, v2, v3 = v
+    v1, v2, v3 = np.moveaxis(v, -1, 0)
     omc = 1.0 - c
-    return np.array(
+    r = np.stack(
         [
-            [omc * v1 * v1 + c, omc * v1 * v2 - v3 * s, omc * v1 * v3 + v2 * s],
-            [omc * v2 * v1 + v3 * s, omc * v2 * v2 + c, omc * v2 * v3 - v1 * s],
-            [omc * v1 * v3 - v2 * s, omc * v3 * v2 + v1 * s, omc * v3 * v3 + c],
-        ]
+            omc * v1 * v1 + c, omc * v1 * v2 - v3 * s, omc * v1 * v3 + v2 * s,
+            omc * v2 * v1 + v3 * s, omc * v2 * v2 + c, omc * v2 * v3 - v1 * s,
+            omc * v1 * v3 - v2 * s, omc * v3 * v2 + v1 * s, omc * v3 * v3 + c,
+        ],
+        axis=-1,
     )
+    return r.reshape(v.shape[:-1] + (3, 3))
 
 
 def canonical_sign(q) -> np.ndarray:
     """Representative of {q, -q} with Re >= 0; ties resolved by the first
-    nonzero imaginary component being positive."""
+    nonzero imaginary component being positive.  Takes one quaternion (4,)
+    or a stack (N, 4)."""
     q = np.asarray(q, dtype=float)
-    if abs(q[0]) > 1e-12:
-        return q if q[0] > 0 else -q
-    for c in q[1:]:
-        if abs(c) > 1e-12:
-            return q if c > 0 else -q
-    return q
+    first = np.argmax(np.abs(q) > 1e-12, axis=-1)[..., None]
+    # The first component above 1e-12 in size decides; an all-zero q is kept.
+    pivot = np.take_along_axis(q, first, axis=-1)
+    return np.where(pivot < -1e-12, -q, q)
 
 
 def rotation_to_quat(r) -> np.ndarray:
     """Unit quaternion of a rotation matrix (Shepperd-style branch selection).
 
-    The largest of (trace-based, diagonal-based) pivots is used so the
-    extraction stays stable near rotation angle pi.
+    Takes one matrix (3, 3) or a stack (N, 3, 3) and returns (4,) or
+    (N, 4).  Each matrix uses the largest of its (trace-based,
+    diagonal-based) pivots, so the extraction stays stable near rotation
+    angle pi.  Raises InvalidRotationError if any matrix is not a rotation.
     """
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise InvalidRotationError("expected a 3 x 3 matrix")
-    if np.abs(r.T @ r - np.eye(3)).max() > 1e-6 or abs(np.linalg.det(r) - 1.0) > 1e-6:
+    if r.ndim not in (2, 3) or r.shape[-2:] != (3, 3):
+        raise InvalidRotationError("expected a 3 x 3 matrix or an (N, 3, 3) stack")
+    orth = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
+    if (orth > 1e-6).any() or (np.abs(np.linalg.det(r) - 1.0) > 1e-6).any():
         raise InvalidRotationError("matrix is not a rotation")
-    t = np.trace(r)
-    candidates = [t, r[0, 0], r[1, 1], r[2, 2]]
-    i = int(np.argmax(candidates))
-    if i == 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    elif i == 1:
-        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        )
-    elif i == 2:
-        s = np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
-        q = np.array(
-            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-        )
-    q = q / np.linalg.norm(q)
+    r00, r11, r22 = r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]
+    t = r00 + r11 + r22
+    a = r[..., 2, 1] - r[..., 1, 2]
+    b = r[..., 0, 2] - r[..., 2, 0]
+    c = r[..., 1, 0] - r[..., 0, 1]
+    e01 = r[..., 0, 1] + r[..., 1, 0]
+    e02 = r[..., 0, 2] + r[..., 2, 0]
+    e12 = r[..., 1, 2] + r[..., 2, 1]
+    # Row j of this symmetric matrix is 4 q_j q.  The row of the largest
+    # pivot has |q_j| >= 1/2, so normalizing it loses no precision.
+    k = np.stack(
+        [
+            np.stack([t + 1.0, a, b, c], axis=-1),
+            np.stack([a, 1.0 + r00 - r11 - r22, e01, e02], axis=-1),
+            np.stack([b, e01, 1.0 - r00 + r11 - r22, e12], axis=-1),
+            np.stack([c, e02, e12, 1.0 - r00 - r11 + r22], axis=-1),
+        ],
+        axis=-2,
+    )
+    pivot = np.argmax(np.stack([t, r00, r11, r22], axis=-1), axis=-1)
+    q = np.take_along_axis(k, pivot[..., None, None], axis=-2)[..., 0, :]
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
     return canonical_sign(q)
 
 

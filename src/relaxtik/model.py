@@ -46,24 +46,30 @@ def _check_ell(ell, g: Graph):
     return ell
 
 
-def apply_Q(x, ell, g: Graph) -> np.ndarray:
+def apply_Q(x, ell, g: Graph, add_to=None) -> np.ndarray:
     """Shifted block field (Q_(n,m) - I) for all edges.
 
-    Runs once per ADMM iteration and does not check its input: x must be an
-    (N, d) array and ell an (M,) array.  `verify.constraint_blocks` is the
-    checked form, and `admm_solve` checks the signal once at entry.
+    With `add_to`, an (M, d+2, d+2) array, the field is added to it in
+    place and `add_to` is returned; the ADMM loop builds z + Q - I this way
+    in one buffer.  Runs once per ADMM iteration and does not check its
+    input: x must be an (N, d) array and ell an (M,) array.
+    `verify.constraint_blocks` is the checked form, and `admm_solve` checks
+    the signal once at entry.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[1]
-    q = np.zeros((g.m_edges, d + 2, d + 2))
-    xn = x[g.first]
-    xm = x[g.second]
-    q[:, :d, d] = xn
-    q[:, d, :d] = xn
-    q[:, :d, d + 1] = xm
-    q[:, d + 1, :d] = xm
-    q[:, d, d + 1] = ell
-    q[:, d + 1, d] = ell
+    q = np.zeros((g.m_edges, d + 2, d + 2)) if add_to is None else add_to
+    first, second = g.first, g.second
+    # Q - I is zero on the diagonal, so only these entries change.  One
+    # component at a time keeps every update a long 1-D loop over edges.
+    for i, xi in enumerate(x.T):
+        xn, xm = xi[first], xi[second]
+        q[:, i, d] += xn
+        q[:, d, i] += xn
+        q[:, i, d + 1] += xm
+        q[:, d + 1, i] += xm
+    q[:, d, d + 1] += ell
+    q[:, d + 1, d] += ell
     return q
 
 
@@ -91,9 +97,13 @@ def adjoint_Q(u, g: Graph, d=None):
     if d is None:
         d = u.shape[-1] - 2
     u = _check_blocks(u, g, d)
-    x_part = np.zeros((g.n_vertices, d))
-    np.add.at(x_part, g.first, u[:, :d, d] + u[:, d, :d])
-    np.add.at(x_part, g.second, u[:, :d, d + 1] + u[:, d + 1, :d])
+    # Per component, one bincount over the first-slot terms followed by the
+    # second-slot terms: each vertex sums its terms in edge order.
+    nodes = np.concatenate([g.first, g.second])
+    x_part = np.empty((g.n_vertices, d))
+    for i in range(d):
+        terms = np.concatenate([u[:, i, d] + u[:, d, i], u[:, i, d + 1] + u[:, d + 1, i]])
+        x_part[:, i] = np.bincount(nodes, weights=terms, minlength=g.n_vertices)
     ell_part = u[:, d, d + 1] + u[:, d + 1, d]
     return x_part, ell_part
 

@@ -37,7 +37,7 @@ def to_sphere(kind: str, data, g=None):
         chroma, bright, _ = synth.rgb_to_chromaticity_brightness(data)
         return chroma.reshape(-1, 3), bright
     if kind == "so3":
-        lift = lift_signs(np.stack([rotation_to_quat(r) for r in data]), g)
+        lift = lift_signs(rotation_to_quat(data), g)
         return lift.lifted, lift
     raise ValueError(f"unknown data kind {kind!r} (known: {', '.join(KINDS)})")
 
@@ -50,7 +50,7 @@ def from_sphere(kind: str, unit, ctx):
     if kind == "chroma":
         return synth.chromaticity_brightness_to_rgb(unit.reshape(*ctx.shape, 3), ctx)
     if kind == "so3":
-        return np.stack([quat_to_rotation(q) for q in unit])
+        return quat_to_rotation(unit)
     return unit
 
 

@@ -5,6 +5,19 @@ C = {A : A = A^T, A >= -I} by clipping its eigenvalues at -1.  The
 eigendecomposition is LAPACK's (`np.linalg.eigh`), which runs over a whole
 batch of blocks in one call.  Functions accept a single (k, k) matrix or a
 batch of shape (M, k, k) with k in 2..12.
+
+The projection is rebuilt from whichever side of -1 needs fewer
+eigenvector columns over the batch.  With r the largest number of
+eigenvalues below -1 in any block and q the smallest,
+
+    P = A + G G^T,   G = V[:, :r] sqrt(max(-1 - lambda, 0)),  or
+    P = -I + G G^T,  G = V[:, q:] sqrt(max(lambda + 1, 0)).
+
+Columns a block does not need get a zero weight, so both forms are exact
+for every block of the batch.  The relaxation is tight, so solver blocks
+have at most k - d = 2 eigenvalues below -1 and the first form needs at
+most 2 of the k columns.  A Gram product is exactly symmetric, so the
+result is too.
 """
 
 import numpy as np
@@ -15,26 +28,52 @@ MAX_DIM = 12
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2, batch-aware.  Round-off from the solver iterations can
-    break exact symmetry, so inputs are symmetrized before spectral work."""
+    """(A + A^T)/2, batch-aware, as a new array.  eigh reads one triangle
+    only, so the projection symmetrizes its input first."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    s = np.add(a, np.swapaxes(a, -1, -2))
+    s *= 0.5
+    return s
 
 
 def project_shifted_psd(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest point of C = {A symmetric, A >= -I}.
 
-    Clips the eigenvalues at -1: V max(Sigma, -1) V^T.  Raises ValueError
+    Clips the eigenvalues at -1: V max(Sigma, -1) V^T, rebuilt as in the
+    module docstring.  The result is exactly symmetric.  Raises ValueError
     for anything but a finite square (k, k) or (M, k, k) array with
     2 <= k <= 12.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError("expected a square (k, k) matrix or an (M, k, k) batch")
-    if not (2 <= a.shape[-1] <= MAX_DIM):
-        raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {a.shape[-1]}")
+    k = a.shape[-1]
+    if not (2 <= k <= MAX_DIM):
+        raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {k}")
+    # Checked on the input: eigh can return finite eigenvalues for a NaN entry.
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    w, v = np.linalg.eigh(symmetrize(a))
-    np.maximum(w, -1.0, out=w)
-    return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
+    p = symmetrize(a.reshape(-1, k, k))
+    w, v = np.linalg.eigh(p)
+    # Eigenvalues ascend, so r counts the leading columns of w with an
+    # entry below -1 and q those with every entry below -1.
+    r = q = 0
+    while r < k and w[:, r].min() < -1.0:
+        r += 1
+    while q < r and w[:, q].max() < -1.0:
+        q += 1
+    if r <= k - q:
+        cols, weights = range(r), -1.0 - w
+    else:
+        cols, weights = range(q, k), w + 1.0
+        p[...] = -np.eye(k)
+    scale = np.sqrt(np.maximum(weights, 0.0))
+    # Column by column: each product then runs over whole columns, not
+    # over the few entries of one block row.
+    g = np.empty((len(p), k, len(cols)))
+    for j, c in enumerate(cols):
+        np.multiply(v[:, :, c], scale[:, c, None], out=g[:, :, j])
+    # A copy of G^T, not a view: numpy sends A @ A^T to a rank-k update
+    # that is several times slower on batches of small blocks.
+    p += g @ np.swapaxes(g, -1, -2).copy()
+    return p.reshape(a.shape)

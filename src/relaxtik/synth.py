@@ -291,7 +291,7 @@ def smooth_so3_signal(n: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG):
         raise ValueError("need at least 2 vertices")
     rng = _as_rng(seed)
     q = _quat_path((n,), rng, max_step_deg)
-    return np.stack([quat_to_rotation(qi) for qi in q])
+    return quat_to_rotation(q)
 
 
 def smooth_so3_field(
@@ -303,7 +303,7 @@ def smooth_so3_field(
     rng = _as_rng(seed)
     shape = (n,) if min(height, width) == 1 else (height, width)
     q = _quat_path(shape, rng, max_step_deg)
-    return np.stack([quat_to_rotation(qi) for qi in q])
+    return quat_to_rotation(q)
 
 
 def perturb_so3(r: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:

@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -94,7 +95,8 @@ def test_threaded_solve_creates_one_pool(monkeypatch, d, n_threads):
 
 
 def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
-    calls = {"apply_Q": 0, "degree_table": 0}
+    calls = {"apply_Q": 0, "degree_table": 0, "add.at": 0}
+    symmetric = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -103,13 +105,29 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
 
         return wrapper
 
+    def recorded(blocks):
+        symmetric.append(np.array_equal(blocks, blocks.swapaxes(-1, -2)))
+        return project(blocks)
+
+    def count_add_at(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__self__", None) is np.add and arg.__name__ == "at":
+            calls["add.at"] += 1
+
+    project = admm.project_shifted_psd
+    monkeypatch.setattr(admm, "project_shifted_psd", recorded)
     monkeypatch.setattr(model, "apply_Q", counted("apply_Q", model.apply_Q))
     monkeypatch.setattr(admm, "degree_table", counted("degree_table", admm.degree_table))
     y = synth.add_vmf_noise(synth.smooth_circle_signal(30, 1), 10.0, 2)
     g = line_graph(30)
-    res = admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
+    sys.setprofile(count_add_at)
+    try:
+        res = admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
+    finally:
+        sys.setprofile(None)
     assert res.iterations == 25
-    assert calls == {"apply_Q": 25, "degree_table": 1}
+    assert calls == {"apply_Q": 25, "degree_table": 1, "add.at": 0}
+    # every batch the projection sees is exactly symmetric
+    assert symmetric == [True] * 25
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

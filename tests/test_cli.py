@@ -146,6 +146,26 @@ def test_config_file_precedence(tmp_path):
     assert json.loads((out4 / "report.json").read_text())["iterations"] == 20
 
 
+def test_weight_flags_keep_numbers_as_numbers(tmp_path):
+    out = tmp_path / "e"
+    assert run(["experiment", "circle-line", "--n", 10, "--lambda", 7, "--w", 2,
+                "--outdir", out]) == 0
+    cfg = json.loads((out / "report.json").read_text())["config"]
+    assert cfg["lam"] == 7.0 and isinstance(cfg["lam"], float)
+    assert cfg["w"] == 2.0 and isinstance(cfg["w"], float)
+    # a flag naming a file is kept as the path
+    sig = tmp_path / "sig.csv"
+    fileio.write_signal_csv(sig, synth.smooth_circle_signal(12, 3))
+    lam = tmp_path / "lam.txt"
+    lam.write_text("\n".join(["4.0"] * 11) + "\n")
+    out2 = tmp_path / "d"
+    assert run(["denoise", sig, "--graph", "line", "--lambda", lam, "--w", "1.5",
+                "--outdir", out2]) == 0
+    cfg2 = json.loads((out2 / "report.json").read_text())["config"]
+    assert cfg2["lam"] == str(lam)
+    assert cfg2["w"] == 1.5
+
+
 def test_exit_codes(tmp_path):
     assert run(["denoise", tmp_path / "missing.csv", "--graph", "line"]) == 2
     bad = tmp_path / "bad.csv"

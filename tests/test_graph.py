@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,41 @@ def test_edge_list_partial_weights_rejected(tmp_path):
     path.write_text("1 2 3.0\n2 3\n")
     with pytest.raises(ValueError):
         read_edge_list(path)
+
+
+def test_connectivity_check_scales_linearly():
+    # a 10^6-vertex path against one O(M) numpy pass over the same edges;
+    # a Python graph walk takes hundreds of such passes
+    n = 1_000_000
+    k = np.arange(1, n, dtype=np.int64)
+    edges = np.column_stack([k, k + 1])
+
+    def best(fn, reps):
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    t_pass = best(lambda: np.bincount(edges[:, 0], minlength=n + 1), 5)
+    t_graph = best(lambda: Graph(n, edges), 2)
+    assert t_graph < 100.0 * t_pass, f"graph {t_graph:.3f} s vs one pass {t_pass:.4f} s"
+
+
+def test_connectivity_check_rejects_split_graphs():
+    rng = np.random.default_rng(4)
+    n = 5000
+    label = rng.permutation(n) + 1  # vertex order unrelated to the paths
+    path = np.column_stack([label[:-1], label[1:]])
+    assert from_edge_pairs(n, path).m_edges == n - 1
+    for cut in (0, 1, n // 2, n - 2):
+        with pytest.raises(ValueError, match="connected"):
+            from_edge_pairs(n, np.delete(path, cut, axis=0))
+    with pytest.raises(ValueError, match="connected"):
+        Graph(n + 1, np.sort(path, axis=1))  # vertex n + 1 has no edge
+    grid = grid_graph(30, 30)
+    assert Graph(900, grid.edges).m_edges == grid.m_edges
+    keep = (grid.edges != 450).all(axis=1)  # vertex 450 loses all its edges
+    with pytest.raises(ValueError, match="connected"):
+        Graph(900, grid.edges[keep])

@@ -265,3 +265,68 @@ def test_matrix_rep():
     assert abs(np.sum(matrix_rep(z, 4) ** 2) - 4 * np.sum(z**2)) < 1e-12
     with pytest.raises(ValueError):
         matrix_rep(np.ones(3), 3)
+
+
+def reference_rotation_to_quat(r):
+    """One matrix at a time, with Shepperd's branch rule written out."""
+    t = np.trace(r)
+    i = int(np.argmax([t, r[0, 0], r[1, 1], r[2, 2]]))
+    if i == 0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
+    elif i == 1:
+        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
+    elif i == 2:
+        s = np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
+        q = [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
+    else:
+        s = np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
+        q = [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
+    q = np.array(q) / np.linalg.norm(q)
+    for c in q:
+        if abs(c) > 1e-12:
+            return q if c > 0 else -q
+    return q
+
+
+def test_conversions_take_stacks():
+    # a stack gives what one call per value gives, near pi included
+    rng = np.random.default_rng(12)
+    q = rng.standard_normal((300, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    axes = rng.standard_normal((300, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.pi - 10.0 ** rng.uniform(-9, -3, 300)
+    angles[::7] = np.pi
+    rots = np.concatenate([quat_to_rotation(q), axis_angle_to_rotation(axes, angles)])
+    assert np.array_equal(quat_to_rotation(q), np.stack([quat_to_rotation(p) for p in q]))
+    assert np.array_equal(axis_angle_to_rotation(axes, angles),
+                          np.stack([axis_angle_to_rotation(v, a) for v, a in zip(axes, angles)]))
+    quats = rotation_to_quat(rots)
+    assert quats.shape == (600, 4)
+    assert np.array_equal(quats, np.stack([rotation_to_quat(r) for r in rots]))
+    # the norm may round differently from the one-matrix reference
+    assert np.abs(quats - np.stack([reference_rotation_to_quat(r) for r in rots])).max() < 1e-15
+    assert np.abs(quat_to_rotation(quats) - rots).max() < 1e-9
+    assert np.array_equal(quats, canonical_sign(quats))
+    assert (quats[:, 0] >= -1e-12).all()
+    signs = np.where(rng.random(600) < 0.5, -1.0, 1.0)[:, None]
+    assert np.array_equal(canonical_sign(signs * quats), quats)
+    ties = np.array([[0.0, -0.6, 0.8, 0.0], [0.0, 0.0, 0.0, -1.0], [-1e-13, 0.0, 0.0, 0.0]])
+    assert np.array_equal(canonical_sign(ties), np.stack([canonical_sign(t) for t in ties]))
+    assert np.array_equal(canonical_sign(ties)[:2], -ties[:2])
+
+
+def test_rotation_stack_with_one_bad_matrix_raises():
+    rots = quat_to_rotation(np.tile(ONE, (5, 1)))
+    rots[3] = np.diag([1.0, 1.0, -1.0])  # det = -1
+    with pytest.raises(InvalidRotationError):
+        rotation_to_quat(rots)
+    rots[3] = 1.01 * np.eye(3)
+    with pytest.raises(InvalidRotationError):
+        rotation_to_quat(rots)
+    with pytest.raises(InvalidRotationError):
+        rotation_to_quat(np.zeros((5, 3, 4)))
+    with pytest.raises(ValueError):
+        quat_to_rotation(np.stack([ONE, 2 * ONE]))

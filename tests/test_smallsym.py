@@ -100,3 +100,25 @@ def test_projection_idempotent_and_feasible_fixed():
     # already-feasible input is untouched
     feas = p[0]
     assert np.abs(project_shifted_psd(feas) - feas).max() < 1e-10
+
+
+def blocks_with_spectrum(rng, k, n_below):
+    """A random-basis block with n_below eigenvalues below -1, the rest above."""
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    lam = np.concatenate([rng.uniform(-4.0, -1.05, n_below), rng.uniform(-0.95, 3.0, k - n_below)])
+    return symmetrize((v * lam) @ v.T)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_projection_of_batches_mixing_every_rank(k):
+    # blocks with 0, 1, ..., k eigenvalues below -1 in one batch, and in
+    # sub-batches whose fewest and most such eigenvalues differ
+    rng = np.random.default_rng(200 + k)
+    a = np.stack([blocks_with_spectrum(rng, k, j) for j in range(k + 1) for _ in range(3)])
+    batches = [a, a[::-1]] + [a[rng.choice(len(a), size=5, replace=False)] for _ in range(20)]
+    batches += [a[3 * j : 3 * j + 3] for j in range(k + 1)]
+    for batch in batches:
+        p = project_shifted_psd(batch)
+        assert np.abs(p - eigen_clip(batch)).max() < 1e-12
+        assert np.array_equal(p, p.swapaxes(-1, -2))
+        assert_projection_conditions(batch, p)
