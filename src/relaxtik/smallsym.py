@@ -6,18 +6,17 @@ eigendecomposition is LAPACK's (`np.linalg.eigh`), which runs over a whole
 batch of blocks in one call.  Functions accept a single (k, k) matrix or a
 batch of shape (M, k, k) with k in 2..12.
 
-The projection is rebuilt from whichever side of -1 needs fewer
-eigenvector columns over the batch.  With r the largest number of
-eigenvalues below -1 in any block and q the smallest,
+The clip changes only the eigenvalues below -1.  With r the largest
+number of them in any block of the batch, the projection is rebuilt as
 
-    P = A + G G^T,   G = V[:, :r] sqrt(max(-1 - lambda, 0)),  or
-    P = -I + G G^T,  G = V[:, q:] sqrt(max(lambda + 1, 0)).
+    P = A + G G^T,   G = V[:, :r] sqrt(max(-1 - lambda, 0)),
 
-Columns a block does not need get a zero weight, so both forms are exact
-for every block of the batch.  The relaxation is tight, so solver blocks
-have at most k - d = 2 eigenvalues below -1 and the first form needs at
-most 2 of the k columns.  A Gram product is exactly symmetric, so the
-result is too.
+one outer product per column of G.  Columns a block does not need get a
+zero weight, so the form is exact for every block and every r up to k.
+The relaxation is tight, so solver blocks have at most k - d = 2
+eigenvalues below -1 and G has at most 2 of the k columns.  An outer
+product g g^T holds g_i g_j at (i, j) and g_j g_i at (j, i), which are
+the same float, so the result is exactly symmetric.
 """
 
 import numpy as np
@@ -55,25 +54,18 @@ def project_shifted_psd(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     p = symmetrize(a.reshape(-1, k, k))
     w, v = np.linalg.eigh(p)
-    # Eigenvalues ascend, so r counts the leading columns of w with an
-    # entry below -1 and q those with every entry below -1.
-    r = q = 0
+    # Eigenvalues ascend, so the first r columns hold every eigenvalue
+    # below -1 in the batch.
+    r = 0
     while r < k and w[:, r].min() < -1.0:
         r += 1
-    while q < r and w[:, q].max() < -1.0:
-        q += 1
-    if r <= k - q:
-        cols, weights = range(r), -1.0 - w
-    else:
-        cols, weights = range(q, k), w + 1.0
-        p[...] = -np.eye(k)
-    scale = np.sqrt(np.maximum(weights, 0.0))
-    # Column by column: each product then runs over whole columns, not
-    # over the few entries of one block row.
-    g = np.empty((len(p), k, len(cols)))
-    for j, c in enumerate(cols):
-        np.multiply(v[:, :, c], scale[:, c, None], out=g[:, :, j])
-    # A copy of G^T, not a view: numpy sends A @ A^T to a rank-k update
-    # that is several times slower on batches of small blocks.
-    p += g @ np.swapaxes(g, -1, -2).copy()
+    scale = np.sqrt(np.maximum(-1.0 - w[:, :r], 0.0))
+    g = np.empty((len(p), k, 1))
+    gg = np.empty_like(p)
+    # Outer products, not a BLAS G @ G^T, whose kernels may sum entries
+    # (i, j) and (j, i) differently and break the exact symmetry.
+    for c in range(r):
+        np.multiply(v[:, :, c, None], scale[:, c, None, None], out=g)
+        np.multiply(g, np.swapaxes(g, -1, -2), out=gg)
+        p += gg
     return p.reshape(a.shape)
