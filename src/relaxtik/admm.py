@@ -163,7 +163,7 @@ def admm_solve(
             u = _project(blocks, pool, n_threads)
             z -= u
             if collect_trace:
-                obj_trace.append(model.objective_K(x, ell, y, wt, g))
+                obj_trace.append(model._objective_K(x, ell, y, wt))
                 dist_trace.append(float(np.mean(1.0 - np.linalg.norm(x, axis=1))))
                 res_trace.append(res)
             if res < cfg.tol:

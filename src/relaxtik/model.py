@@ -116,6 +116,12 @@ def objective_K(x, ell, y, wt: Weights, g: Graph) -> float:
     wt.check_graph(g)
     if y.shape != x.shape:
         raise ValueError("x and y must have the same shape")
+    return _objective_K(x, ell, y, wt)
+
+
+def _objective_K(x, ell, y, wt: Weights) -> float:
+    """objective_K without the input checks, for float arrays of matching
+    shapes; the traced ADMM loop calls it once per iteration."""
     return float(
         -np.sum(wt.vertex_weights * np.einsum("nd,nd->n", x, y))
         - np.sum(wt.edge_weights * ell)

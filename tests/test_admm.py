@@ -4,9 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from relaxtik import admm, model, synth
+from relaxtik import admm, model, smallsym, synth
 from relaxtik.admm import SolverConfig, SolverDivergence, admm_solve, primal_update
-from relaxtik.graph import Weights, from_edge_pairs, line_graph
+from relaxtik.graph import Weights, from_edge_pairs, grid_graph, line_graph
 from relaxtik.model import apply_Q, objective_K
 from relaxtik.verify import (
     adjoint_P,
@@ -128,6 +128,46 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
     assert calls == {"apply_Q": 25, "degree_table": 1, "add.at": 0}
     # every batch the projection sees is exactly symmetric
     assert symmetric == [True] * 25
+
+
+def test_jacobi_projection_gives_the_eigen_clip_solve(monkeypatch):
+    # 33x33 grid: 2112 blocks of side 4, so the solver projects on the
+    # Jacobi path; the oracle is the clip written out from eigh.
+    g = grid_graph(33, 33)
+    assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS
+    rng = np.random.default_rng(5)
+    y = synth.add_vmf_noise(synth.smooth_circle_field(33, 33, rng), 20.0, rng)
+    wt = Weights.constant(g, 1.0, 1.0)
+    cfg = SolverConfig(rho=3.0, max_iter=2000, tol=1e-4)
+    jacobi = admm_solve(y, g, wt, cfg)
+
+    def eigen_clip(a):
+        w, v = np.linalg.eigh(smallsym.symmetrize(a))
+        return (v * np.maximum(w, -1.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+    monkeypatch.setattr(admm, "project_shifted_psd", eigen_clip)
+    oracle = admm_solve(y, g, wt, cfg)
+    assert jacobi.iterations == oracle.iterations < cfg.max_iter
+    assert np.abs(jacobi.x - oracle.x).max() <= 1e-12
+    assert np.abs(jacobi.ell - oracle.ell).max() <= 1e-12
+
+
+def test_traced_loop_checks_its_inputs_once(monkeypatch):
+    checked = []
+    objective_K = model.objective_K
+
+    def counted(*args):
+        checked.append(objective_K(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(model, "objective_K", counted)
+    y = synth.add_vmf_noise(synth.smooth_circle_signal(30, 1), 10.0, 2)
+    g = line_graph(30)
+    wt = Weights.constant(g, 1.0, 5.0)
+    res = admm_solve(y, g, wt, SolverConfig(max_iter=25, tol=0.0), collect_trace=True)
+    assert res.iterations == len(res.objective_trace) == 25
+    # one checked call, for the result; the trace uses the unchecked form
+    assert checked == [res.objective_K] == [res.objective_trace[-1]]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from relaxtik import jacobi, smallsym
 from relaxtik.smallsym import project_shifted_psd, symmetrize
 
 
@@ -27,6 +30,44 @@ def assert_projection_conditions(a, p, tol=1e-12):
     assert np.abs(inner).max() <= tol * max(1.0, np.abs(a).max() ** 2)
 
 
+def on_both_paths(ks):
+    """(path, k) parameters.  The eigh path keeps the plain id k."""
+    return [pytest.param("eigh", k, id=str(k)) for k in ks] + [
+        pytest.param("jacobi", k, id=f"jacobi-{k}") for k in ks
+    ]
+
+
+@pytest.fixture
+def on_path(monkeypatch):
+    """on_path(path, a) is the batch to project so that a runs on `path`.
+
+    The eigh path takes a as it is: these batches are below the dispatch
+    size.  The Jacobi path takes a tiled above it, and runs for every k.
+    """
+    monkeypatch.setattr(smallsym, "JACOBI_MAX_DIM", smallsym.MAX_DIM)
+
+    def prepare(path, a):
+        if path == "eigh":
+            assert len(a) < smallsym.JACOBI_MIN_BLOCKS
+            return a
+        return np.tile(a, (-(-smallsym.JACOBI_MIN_BLOCKS // len(a)), 1, 1))
+
+    return prepare
+
+
+class EighCounter:
+    """np.linalg.eigh, counting its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", self)
+
+    def __call__(self, a):
+        self.calls += 1
+        return self.eigh(a)
+
+
 @pytest.mark.parametrize("k", range(2, 13))
 def test_eigh_matches_lapack_single(k):
     # the projection of one matrix against the LAPACK eigenvalue clip
@@ -38,30 +79,36 @@ def test_eigh_matches_lapack_single(k):
     assert_projection_conditions(a, p)
 
 
-@pytest.mark.parametrize("k", [2, 4, 6, 12])
-def test_eigh_matches_lapack_batch(k):
+@pytest.mark.parametrize("path, k", on_both_paths([2, 4, 6, 12]))
+def test_eigh_matches_lapack_batch(path, k, on_path):
     rng = np.random.default_rng(100 + k)
-    a = random_sym(rng, k, batch=64)
+    a = on_path(path, random_sym(rng, k, batch=64))
     p = project_shifted_psd(a)
-    assert p.shape == (64, k, k)
+    assert p.shape == a.shape
     assert np.abs(p - eigen_clip(a)).max() < 1e-12
     assert_projection_conditions(a, p)
     for i in (0, 31, 63):
         assert np.abs(project_shifted_psd(a[i]) - p[i]).max() < 1e-12
 
 
-def test_eigh_handles_diagonal_and_repeated():
-    p = project_shifted_psd(np.diag([3.0, -2.0, 0.5]))
-    assert np.abs(p - np.diag([3.0, -1.0, 0.5])).max() < 1e-15
-    assert np.abs(project_shifted_psd(-3.0 * np.eye(4)) + np.eye(4)).max() < 1e-15
-    assert np.abs(project_shifted_psd(2.0 * np.eye(4)) - 2.0 * np.eye(4)).max() < 1e-15
-    # repeated eigenvalues on both sides of the clip, in a random basis
-    rng = np.random.default_rng(3)
-    v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    a = (v * np.array([-4.0, -4.0, 1.5, 1.5, 1.5])) @ v.T
-    p = project_shifted_psd(a)
-    assert np.abs(p - (v * np.array([-1.0, -1.0, 1.5, 1.5, 1.5])) @ v.T).max() < 1e-12
-    assert_projection_conditions(a, p)
+def test_eigh_handles_diagonal_and_repeated(on_path):
+    # Not parametrized, to keep its id: it runs both paths in turn.
+    for path in ("eigh", "jacobi"):
+
+        def project(a):
+            return project_shifted_psd(on_path(path, a[None]))
+
+        p = project(np.diag([3.0, -2.0, 0.5]))
+        assert np.abs(p - np.diag([3.0, -1.0, 0.5])).max() < 1e-15
+        assert np.abs(project(-3.0 * np.eye(4)) + np.eye(4)).max() < 1e-15
+        assert np.abs(project(2.0 * np.eye(4)) - 2.0 * np.eye(4)).max() < 1e-15
+        # repeated eigenvalues on both sides of the clip, in a random basis
+        rng = np.random.default_rng(3)
+        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        a = (v * np.array([-4.0, -4.0, 1.5, 1.5, 1.5])) @ v.T
+        p = project(a)
+        assert np.abs(p - (v * np.array([-1.0, -1.0, 1.5, 1.5, 1.5])) @ v.T).max() < 1e-12
+        assert_projection_conditions(a, p)
 
 
 def test_eigh_rejects_bad_shapes():
@@ -82,11 +129,13 @@ def test_eigh_rejects_bad_shapes():
         project_shifted_psd(batch)
 
 
-def test_projection_matches_eigenvalue_clip():
-    rng = np.random.default_rng(7)
-    a = random_sym(rng, 6, batch=200)
-    p = project_shifted_psd(a)
-    assert np.abs(p - eigen_clip(a)).max() < 1e-12
+def test_projection_matches_eigenvalue_clip(on_path):
+    # Not parametrized, to keep its id: it runs both paths in turn.
+    for path in ("eigh", "jacobi"):
+        rng = np.random.default_rng(7)
+        a = on_path(path, random_sym(rng, 6, batch=200))
+        p = project_shifted_psd(a)
+        assert np.abs(p - eigen_clip(a)).max() < 1e-12
 
 
 def test_projection_idempotent_and_feasible_fixed():
@@ -109,8 +158,8 @@ def blocks_with_spectrum(rng, k, n_below):
     return symmetrize((v * lam) @ v.T)
 
 
-@pytest.mark.parametrize("k", range(2, 13))
-def test_projection_of_batches_mixing_every_rank(k):
+@pytest.mark.parametrize("path, k", on_both_paths(range(2, 13)))
+def test_projection_of_batches_mixing_every_rank(path, k, on_path):
     # blocks with 0, 1, ..., k eigenvalues below -1 in one batch, and in
     # sub-batches whose fewest and most such eigenvalues differ
     rng = np.random.default_rng(200 + k)
@@ -118,7 +167,64 @@ def test_projection_of_batches_mixing_every_rank(k):
     batches = [a, a[::-1]] + [a[rng.choice(len(a), size=5, replace=False)] for _ in range(20)]
     batches += [a[3 * j : 3 * j + 3] for j in range(k + 1)]
     for batch in batches:
+        batch = on_path(path, batch)
         p = project_shifted_psd(batch)
         assert np.abs(p - eigen_clip(batch)).max() < 1e-12
         assert np.array_equal(p, p.swapaxes(-1, -2))
         assert_projection_conditions(batch, p)
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_jacobi_path_takes_extreme_blocks_without_warnings(k):
+    rng = np.random.default_rng(300 + k)
+    n = smallsym.JACOBI_MIN_BLOCKS
+    diagonal = np.zeros((n, k, k))
+    diagonal[:, range(k), range(k)] = rng.uniform(-3.0, 3.0, (n, k))
+    batches = [
+        diagonal,
+        np.zeros((n, k, k)),
+        np.tile(-3.0 * np.eye(k), (n, 1, 1)),
+        np.tile(2.0 * np.eye(k), (n, 1, 1)),
+        1e-8 * random_sym(rng, k, batch=n),
+        1e8 * random_sym(rng, k, batch=n),
+        random_sym(rng, k, batch=n) * np.logspace(-8, 8, n)[:, None, None],
+    ]
+    for a in batches:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = project_shifted_psd(a)
+        scale = max(1.0, np.abs(a).max())
+        assert np.abs(p - eigen_clip(a)).max() < 1e-12 * scale
+        assert np.array_equal(p, p.swapaxes(-1, -2))
+
+
+def test_batch_shape_picks_the_eigensolver(monkeypatch):
+    rng = np.random.default_rng(11)
+    grid_circle = random_sym(rng, 4, batch=16020)  # the 90x90 grid's blocks
+    expected = eigen_clip(grid_circle)
+    counter = EighCounter(monkeypatch)
+    p = project_shifted_psd(grid_circle)
+    assert counter.calls == 0
+    assert np.abs(p - expected).max() < 1e-12
+    assert np.array_equal(p, p.swapaxes(-1, -2))
+    # a short line, a 1000-rotation SO(3) line, and blocks above k = 5
+    for a in (random_sym(rng, 4, batch=255), random_sym(rng, 6, batch=999),
+              random_sym(rng, 6, batch=4096)):
+        calls = counter.calls
+        project_shifted_psd(a)
+        assert counter.calls == calls + 1
+
+
+def test_unconverged_jacobi_blocks_fall_back_to_eigh(monkeypatch):
+    # After one sweep only the diagonal blocks have converged; the rest go
+    # to eigh in one call, and the result is the same projection.
+    rng = np.random.default_rng(12)
+    a = random_sym(rng, 5, batch=smallsym.JACOBI_MIN_BLOCKS)
+    a[::2] = np.diag([-3.0, -1.5, 0.0, 1.0, 2.0])
+    expected = eigen_clip(a)
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1)
+    counter = EighCounter(monkeypatch)
+    p = project_shifted_psd(a)
+    assert counter.calls == 1
+    assert np.abs(p - expected).max() < 1e-12
+    assert_projection_conditions(a, p)
