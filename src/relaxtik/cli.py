@@ -155,7 +155,8 @@ def _write_trace(path, res):
 
 
 def _cmd_denoise(args):
-    cfg = _merged(args, _load_config_file(args.config), _DENOISE_DEFAULTS)
+    file_cfg = _load_config_file(args.config)
+    cfg = _merged(args, file_cfg, _DENOISE_DEFAULTS)
     solver = SolverConfig(
         rho=float(cfg["rho"]),
         max_iter=int(cfg["max_iter"]),
@@ -178,7 +179,8 @@ def _cmd_denoise(args):
                     f"signal has d = {data.shape[1]}, but --d {args.d} was given"
                 )
         g, file_lam = _parse_graph(args.graph, data.shape[0])
-        if file_lam is not None and cfg["lam"] == 1.0 and args.lam is None:
+        # The file's weights apply unless the flag or the config file sets lam.
+        if file_lam is not None and args.lam is None and not {"lam", "lambda"} & set(file_cfg):
             cfg["lam"] = file_lam
     y, ctx = pipeline.to_sphere(args.mode, data, g)
 

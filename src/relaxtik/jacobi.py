@@ -1,78 +1,42 @@
-"""Eigenvalue clip of large batches of small symmetric blocks by Jacobi.
+"""Cyclic Jacobi eigensolver for large batches of small symmetric blocks.
 
-`smallsym.project_shifted_psd` sends a batch here when its shape (M, k)
-is on the Jacobi side of the crossover in `smallsym`.  It imports this
-module on first use, so a process that never projects such a batch never
-compiles it.
+`smallsym.project_shifted_psd` diagonalizes a chunk here when the batch's
+shape (M, k) is on the Jacobi side of the crossover in `smallsym`, and
+does the clip itself.  It imports this module on first use, so a process
+that never projects such a batch never compiles it.
 
-The batch is gathered into (k, k, m) work arrays, CHUNK blocks at a time,
-so each rotation is a few contiguous 1-D ufunc calls over all m blocks.
-Cyclic sweeps run until every off-diagonal entry is within TOL of its
-block's largest entry, at most MAX_SWEEPS of them.  The projection is then
-rebuilt as A + G G^T (see `smallsym`), summed over every eigenvector
-column that is below -1 in some block, since Jacobi leaves the
-eigenvalues unsorted.
+The blocks come as a (k, k, m) stack, so each rotation is a few
+contiguous 1-D ufunc calls over all m blocks.  Cyclic sweeps run until
+every off-diagonal entry is within TOL of its block's largest entry, at
+most MAX_SWEEPS of them.  The eigenvalues come out unsorted.
 """
 
 import numpy as np
 
-__all__ = ["project"]
+__all__ = ["eig"]
 
 MAX_SWEEPS = 12
-# Blocks per pass: faster than one pass over the 90x90 grid's 16,020
-# blocks, and it bounds the work arrays' size.
-CHUNK = 8192
 # Converged off-diagonal bound, for a block scaled into [1/2, 1).
 TOL = 2.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def project(a: np.ndarray):
-    """Projection of the finite (M, k, k) batch a onto {A symmetric, A >= -I},
-    and a mask of the blocks that converged.  The other blocks of the
-    projection are unusable; the caller projects them another way."""
-    p = np.empty_like(a)
-    converged = np.empty(len(a), dtype=bool)
-    for lo in range(0, len(a), CHUNK):
-        hi = lo + CHUNK
-        converged[lo:hi] = _project_chunk(a[lo:hi], p[lo:hi])
-    return p, converged
-
-
-def _project_chunk(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Projection of the (m, k, k) batch a into out; returns which blocks
-    converged."""
-    m, k, _ = a.shape
-    # The symmetric part, averaged while it is gathered.  Both work arrays
-    # are allocated C-ordered: a ufunc would give them a's (m, k, k) layout.
-    s = np.empty((k, k, m))
-    w = np.empty((k, k, m))
-    np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0), out=s)
-    s *= 0.5
+def eig(s: np.ndarray, work: np.ndarray):
+    """Eigenvalues lam (k, m), eigenvectors vt (k, k, m) and a mask of the
+    converged blocks of the symmetric (k, k, m) stack s, which is left as
+    it is; vt[c] is eigenvector c of every block.  work is (k, k, m)
+    scratch.  The eigenpairs of unconverged blocks are unusable."""
+    k, _, m = s.shape
     # Each block is scaled by a power of two, which is exact, so that its
     # largest entry lies in [1/2, 1): the tolerance is absolute and no
     # square in a rotation can overflow.
-    np.abs(s, out=w)
-    _, e = np.frexp(w.max(axis=(0, 1)))
-    np.ldexp(s, -e, out=w)
-    vt = np.zeros((k, k, m))  # vt[c] is eigenvector c of every block
+    np.abs(s, out=work)
+    _, e = np.frexp(work.max(axis=(0, 1)))
+    np.ldexp(s, -e, out=work)
+    vt = np.zeros((k, k, m))
     vt[range(k), range(k)] = 1.0
-    converged = _sweeps(w, vt)
-    lam = np.ldexp(np.diagonal(w).T, e)
-    h = np.empty(m)
-    g = np.empty((k, m))
-    for c in range(k):
-        np.subtract(-1.0, lam[c], out=h)
-        if h.max() <= 0.0:
-            continue
-        np.maximum(h, 0.0, out=h)
-        np.sqrt(h, out=h)
-        np.multiply(vt[c], h, out=g)
-        # g_i g_j and g_j g_i are the same float, so s stays exactly symmetric.
-        np.multiply(g[:, None], g, out=w)
-        s += w
-    np.copyto(out, s.transpose(2, 0, 1))
-    return converged
+    converged = _sweeps(work, vt)
+    return np.ldexp(np.diagonal(work).T, e), vt, converged
 
 
 def _sweeps(w: np.ndarray, vt: np.ndarray) -> np.ndarray:

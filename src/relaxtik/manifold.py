@@ -174,15 +174,17 @@ def rotation_to_quat(r) -> np.ndarray:
 
 def rotation_to_axis_angle(r):
     """(axis, angle) with angle in [0, pi]; axis is arbitrary (e3) for the
-    identity rotation, where it is undefined."""
+    identity rotation, where it is undefined.  Takes one matrix (3, 3) or a
+    stack (N, 3, 3) and returns (3,) and a float, or (N, 3) and (N,)."""
     q = rotation_to_quat(r)
-    w = float(np.clip(q[0], -1.0, 1.0))
-    alpha = 2.0 * np.arccos(w)
-    imag = q[1:]
-    s = np.linalg.norm(imag)
-    if s < 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    return imag / s, float(alpha)
+    alpha = 2.0 * np.arccos(np.clip(q[..., 0], -1.0, 1.0))
+    imag = q[..., 1:]
+    # The norm as a dot product, as np.linalg.norm takes it for one vector.
+    s = np.sqrt(imag[..., None, :] @ imag[..., :, None])[..., 0]
+    ident = s < 1e-12
+    axis = np.where(ident, [0.0, 0.0, 1.0], imag / np.where(ident, 1.0, s))
+    alpha = np.where(ident[..., 0], 0.0, alpha)
+    return (axis, float(alpha)) if q.ndim == 1 else (axis, alpha)
 
 
 @dataclass

@@ -4,20 +4,18 @@ Every ADMM iteration projects each per-edge (d+2) x (d+2) block onto
 C = {A : A = A^T, A >= -I} by clipping its eigenvalues at -1.  Functions
 accept a single (k, k) matrix or a batch of shape (M, k, k) with k in 2..12.
 
-Two eigensolvers give the same projection, and the batch's shape (M, k)
-picks one:
+There is one clip and two eigensolvers.  The batch runs CHUNK (8192)
+blocks at a time: the symmetric part of a chunk is gathered into a
+(k, k, m) array, diagonalized, rebuilt as a clipped block and scattered
+back.  The batch's shape (M, k) picks the eigensolver:
 
 - M >= JACOBI_MIN_BLOCKS (2048) and k <= JACOBI_MAX_DIM (5): cyclic
-  Jacobi in struct-of-arrays layout (`relaxtik.jacobi`).  The batch is
-  gathered into a (k, k, M) work array, so each rotation is a few
-  contiguous 1-D ufunc calls over all blocks at once.  Sweeps run until
-  every off-diagonal entry is within 2 eps of its block's largest entry;
-  a block still above that after `jacobi.MAX_SWEEPS` sweeps goes to
-  LAPACK instead.
-- Every other batch: LAPACK (`np.linalg.eigh`), one call over the batch.
-  For blocks this small its cost is mostly per-matrix overhead, which
-  Jacobi's shared ufunc calls amortize only over large batches of small
-  blocks.
+  Jacobi (`relaxtik.jacobi`), each rotation a few contiguous 1-D ufunc
+  calls over all blocks of the chunk.  A block it leaves unconverged
+  goes to LAPACK instead.
+- Every other batch: LAPACK (`np.linalg.eigh`), one call per chunk.  For
+  blocks this small its cost is mostly per-matrix overhead, which
+  Jacobi's shared ufunc calls amortize only over large batches.
 
 Crossover, ms per projection of M random symmetric blocks, Jacobi / eigh
 (median of 9 interleaved runs, one thread, loaded 2-vCPU VM):
@@ -31,42 +29,31 @@ Crossover, ms per projection of M random symmetric blocks, Jacobi / eigh
     7   5.6/2.0     7.0/3.5     14/11       48/41       47/44       190/200
     8   11/3.3      10/4.6      23/15       34/21       67/44       270/170
 
-Jacobi ties at k = 6 and loses above, so those stay on LAPACK.  The
-solver's 90x90 circle grid (16,020 blocks, k = 4) takes the Jacobi path;
-1000-rotation SO(3) lines (999 blocks, k = 6) and short lines do not.
+Jacobi ties at k = 6 and loses above.  The 90x90 circle grid (16,020
+blocks, k = 4) takes the Jacobi path; 1000-rotation SO(3) lines (999
+blocks, k = 6) and short lines do not.
 
-The clip changes only the eigenvalues below -1, so both paths rebuild the
-projection as
+The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
     P = A + G G^T,   G = V_below sqrt(-1 - lambda_below),
 
-one outer product per column of G.  Columns a block does not need get a
-zero weight, so the form is exact for every block.  LAPACK sorts the
-eigenvalues, so its path sums the first r columns, r the largest number
-of eigenvalues below -1 in any block; the relaxation is tight, so r <= 2
-on solver blocks.  Jacobi leaves them unsorted and sums every column
-that is below -1 in some block.  An outer product g g^T holds g_i g_j at
-(i, j) and g_j g_i at (j, i), which are the same float, so the result is
-exactly symmetric.
+one outer product per eigenvector column that is below -1 in some block
+(Jacobi leaves the eigenvalues unsorted); columns a block does not need
+get a zero weight.  An outer product g g^T holds g_i g_j at (i, j) and
+g_j g_i at (j, i), which are the same float, so P is exactly symmetric.
 """
 
 import numpy as np
 
-__all__ = ["symmetrize", "project_shifted_psd"]
+__all__ = ["project_shifted_psd"]
 
 MAX_DIM = 12
 # Dispatch to Jacobi, from the crossover table above.
 JACOBI_MAX_DIM = 5
 JACOBI_MIN_BLOCKS = 2048
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2, batch-aware, as a new array.  eigh reads one triangle
-    only, so its path symmetrizes the input first."""
-    a = np.asarray(a, dtype=float)
-    s = np.add(a, np.swapaxes(a, -1, -2))
-    s *= 0.5
-    return s
+# Blocks per chunk: faster than one pass over the 90x90 grid's 16,020
+# blocks, and it bounds the work arrays' size.
+CHUNK = 8192
 
 
 def project_shifted_psd(a: np.ndarray) -> np.ndarray:
@@ -88,34 +75,45 @@ def project_shifted_psd(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     batch = a.reshape(-1, k, k)
-    if k <= JACOBI_MAX_DIM and len(batch) >= JACOBI_MIN_BLOCKS:
-        from relaxtik import jacobi  # compiled only where it runs
-
-        p, converged = jacobi.project(batch)
-        if not converged.all():
-            idx = np.flatnonzero(~converged)
-            p[idx] = _eigh_project(symmetrize(batch[idx]))
-    else:
-        p = _eigh_project(symmetrize(batch))
+    jacobi = k <= JACOBI_MAX_DIM and len(batch) >= JACOBI_MIN_BLOCKS
+    if jacobi:
+        from relaxtik.jacobi import eig  # compiled only where it runs
+    # One flat buffer each, so the last, shorter chunk is contiguous too.
+    s_buf = np.empty(k * k * min(len(batch), CHUNK))
+    w_buf = np.empty_like(s_buf)
+    p = np.empty_like(batch)
+    for lo in range(0, len(batch), CHUNK):
+        c = batch[lo : lo + CHUNK]
+        s = s_buf[: c.size].reshape(k, k, -1)
+        w = w_buf[: c.size].reshape(s.shape)
+        # The symmetric part: eigh reads one triangle only.
+        np.add(c.transpose(1, 2, 0), c.transpose(2, 1, 0), out=s)
+        s *= 0.5
+        if jacobi:
+            lam, vt, converged = eig(s, w)
+            if not converged.all():
+                idx = np.flatnonzero(~converged)
+                lam[:, idx], vt[:, :, idx] = _eigh(s[:, :, idx])
+        else:
+            lam, vt = _eigh(s)
+        h, g = np.empty(len(c)), np.empty((k, len(c)))
+        for col in range(k):
+            np.subtract(-1.0, lam[col], out=h)
+            if h.max() <= 0.0:
+                continue
+            np.maximum(h, 0.0, out=h)
+            np.sqrt(h, out=h)
+            np.multiply(vt[col], h, out=g)
+            # Outer products, not a BLAS G @ G^T, whose kernels may sum
+            # entries (i, j) and (j, i) differently and break the symmetry.
+            np.multiply(g[:, None], g, out=w)
+            s += w
+        np.copyto(p[lo : lo + CHUNK], s.transpose(2, 0, 1))
+        del lam, vt  # freed before the next chunk makes its own: a lower peak
     return p.reshape(a.shape)
 
 
-def _eigh_project(p: np.ndarray) -> np.ndarray:
-    """Projection of the symmetric (M, k, k) batch p, in place."""
-    w, v = np.linalg.eigh(p)
-    # Eigenvalues ascend, so the first r columns hold every eigenvalue
-    # below -1 in the batch.
-    k = p.shape[-1]
-    r = 0
-    while r < k and w[:, r].min() < -1.0:
-        r += 1
-    scale = np.sqrt(np.maximum(-1.0 - w[:, :r], 0.0))
-    g = np.empty((len(p), k, 1))
-    gg = np.empty_like(p)
-    # Outer products, not a BLAS G @ G^T, whose kernels may sum entries
-    # (i, j) and (j, i) differently and break the exact symmetry.
-    for c in range(r):
-        np.multiply(v[:, :, c, None], scale[:, c, None, None], out=g)
-        np.multiply(g, np.swapaxes(g, -1, -2), out=gg)
-        p += gg
-    return p
+def _eigh(s: np.ndarray):
+    """LAPACK eigenpairs of the symmetric (k, k, m) stack s, as jacobi.eig."""
+    lam, v = np.linalg.eigh(s.transpose(2, 0, 1))
+    return lam.T, v.transpose(2, 1, 0)

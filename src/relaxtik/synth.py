@@ -307,28 +307,27 @@ def smooth_so3_field(
 
 
 def perturb_so3(r: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:
-    """Noisy rotation: perturb the axis on S^2 and the angle on S^1.
-
-    The input is split into axis v and angle alpha; the output is the
-    rotation built from w ~ vMF(v, kappa1) and beta ~ vMF(alpha, kappa2),
-    the latter sampled as a unit 2-vector around (cos alpha, sin alpha).
-    Near the identity the axis is undefined and drawn uniformly.
-    """
-    rng = _as_rng(seed)
-    axis, alpha = rotation_to_axis_angle(r)
-    if alpha < 1e-8:
-        axis = _uniform_sphere(1, 3, rng)[0]
-    w = _vmf_rows(axis[None, :], p.kappa1, rng)[0]
-    circ = np.array([[np.cos(alpha), np.sin(alpha)]])
-    bvec = _vmf_rows(circ, p.kappa2, rng)[0]
-    beta = float(np.arctan2(bvec[1], bvec[0]))
-    return axis_angle_to_rotation(w, beta)
+    """Noisy rotation: perturb_so3_signal of the one rotation r."""
+    return perturb_so3_signal(np.asarray(r, dtype=float)[None], p, seed)[0]
 
 
 def perturb_so3_signal(rs: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:
-    """Apply perturb_so3 independently to a stack of rotations (one rng)."""
+    """Independently perturbed rotations: the axis on S^2 and the angle on S^1.
+
+    Each rotation is split into axis v and angle alpha; its noisy copy is
+    the rotation built from w ~ vMF(v, kappa1) and beta ~ vMF(alpha, kappa2),
+    the latter sampled as a unit 2-vector around (cos alpha, sin alpha).
+    Near the identity the axis is undefined and drawn uniformly.  Each
+    law is drawn once for the whole stack, from one rng.
+    """
     rng = _as_rng(seed)
-    return np.stack([perturb_so3(r, p, rng) for r in rs])
+    axis, alpha = rotation_to_axis_angle(rs)
+    near = alpha < 1e-8
+    if near.any():
+        axis[near] = _uniform_sphere(int(near.sum()), 3, rng)
+    w = _vmf_rows(axis, p.kappa1, rng)
+    bvec = _vmf_rows(np.column_stack([np.cos(alpha), np.sin(alpha)]), p.kappa2, rng)
+    return axis_angle_to_rotation(w, np.arctan2(bvec[:, 1], bvec[:, 0]))
 
 
 def mean_sphere_distance(x: np.ndarray) -> float:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import relaxtik
 from relaxtik import fileio, synth
 from relaxtik.cli import main
 from relaxtik.experiments import EXPERIMENT_DEFAULTS, run_experiment
@@ -26,6 +30,17 @@ def test_experiment_registry_names():
         run_experiment("nope")
     with pytest.raises(ValueError):
         run_experiment("circle-line", overrides={"bogus": 1})
+
+
+def test_startup_leaves_the_kernel_and_verifier_unimported():
+    # Every module imported at startup is compiled when no bytecode is cached.
+    code = ("import sys, relaxtik, relaxtik.cli; "
+            "print(sorted({'relaxtik.jacobi', 'relaxtik.verify'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(relaxtik.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_experiment_cli_outputs_and_determinism(tmp_path):
@@ -80,6 +95,17 @@ def test_denoise_grid_spec_and_edgelist(tmp_path):
                 "--outdir", tmp_path / "g3"]) == 0
     rep = json.loads((tmp_path / "g3" / "report.json").read_text())
     assert rep["config"]["lam"] == [2.0] * g.m_edges
+    # a lambda from the flag or the config file, 1.0 included, beats the file's
+    write_edge_list(ep, g, np.full(g.m_edges, 5.0))
+    cases = [(["--lambda", 1], 1.0), (["--lambda", 2], 2.0)]
+    for i, (key, lam) in enumerate([("lambda", 1.0), ("lambda", 2.0), ("lam", 1.0)]):
+        cfgp = tmp_path / f"cfg{i}.json"
+        cfgp.write_text(json.dumps({key: lam}))
+        cases.append((["--config", cfgp], lam))
+    for i, (extra, lam) in enumerate(cases):
+        out = tmp_path / f"l{i}"
+        assert run(["denoise", p, "--graph", f"edgelist:{ep}", *extra, "--outdir", out]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["lam"] == lam
 
 
 def test_denoise_hue_ppm(tmp_path):

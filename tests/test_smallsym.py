@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from relaxtik import jacobi, smallsym
-from relaxtik.smallsym import project_shifted_psd, symmetrize
+from relaxtik.smallsym import project_shifted_psd
+
+
+def symmetrize(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def random_sym(rng, k, batch=None):
@@ -213,6 +217,10 @@ def test_batch_shape_picks_the_eigensolver(monkeypatch):
         calls = counter.calls
         project_shifted_psd(a)
         assert counter.calls == calls + 1
+    # one call per chunk
+    calls = counter.calls
+    project_shifted_psd(random_sym(rng, 6, batch=smallsym.CHUNK + 1))
+    assert counter.calls == calls + 2
 
 
 def test_unconverged_jacobi_blocks_fall_back_to_eigh(monkeypatch):
@@ -228,3 +236,10 @@ def test_unconverged_jacobi_blocks_fall_back_to_eigh(monkeypatch):
     assert counter.calls == 1
     assert np.abs(p - expected).max() < 1e-12
     assert_projection_conditions(a, p)
+    # unconverged blocks in two chunks, one eigh call for each
+    a = random_sym(rng, 5, batch=smallsym.CHUNK + smallsym.JACOBI_MIN_BLOCKS)
+    a[::2] = np.diag([-3.0, -1.5, 0.0, 1.0, 2.0])
+    p = project_shifted_psd(a)
+    assert counter.calls == 3
+    assert np.abs(p - eigen_clip(a)).max() < 1e-12
+    assert np.array_equal(p, p.swapaxes(-1, -2))

@@ -135,6 +135,26 @@ def test_perturb_so3_concentration_and_fallback():
     assert np.array_equal(a, b)
 
 
+def test_perturb_so3_signal_draws_each_law_once(monkeypatch):
+    rots = synth.smooth_so3_signal(1000, 16)
+    rots[::100] = np.eye(3)  # axis drawn uniformly
+    calls = []
+    vmf_rows = synth._vmf_rows
+
+    def counted(*args):
+        calls.append(args)
+        return vmf_rows(*args)
+
+    monkeypatch.setattr(synth, "_vmf_rows", counted)
+    out = synth.perturb_so3_signal(rots, synth.So3NoiseParams(30.0, 15.0), 17)
+    assert len(calls) == 2
+    assert out.shape == (1000, 3, 3)
+    assert np.abs(np.swapaxes(out, 1, 2) @ out - np.eye(3)).max() < 1e-12
+    assert np.abs(np.linalg.det(out) - 1.0).max() < 1e-12
+    near = synth.perturb_so3_signal(rots, synth.So3NoiseParams(1e9, 1e9), 17)
+    assert np.abs(near - rots).max() < 1e-3
+
+
 def test_mean_sphere_distance_examples():
     assert synth.mean_sphere_distance(np.eye(3)[:2]) == 0.0
     assert synth.mean_sphere_distance(np.zeros((4, 3))) == 1.0
