@@ -4,6 +4,11 @@ The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
 The matrix-model variant, which verifies this solver, is in `verify`.
+
+The solver's large state, the scaled dual z and the projection u, is
+allocated once per solve in (k, k, M) layout.  The loop hands their
+(M, k, k) views to `model` and `smallsym`, so each entry (i, j) of all
+blocks is one contiguous row, and no iteration allocates a block field.
 """
 
 import math
@@ -89,18 +94,21 @@ def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
         raise ValueError("rho must be positive")
     if nu is None:
         nu = _degrees(g)
-    ax, al = model.adjoint_Q(np.asarray(u) - np.asarray(z), g)
+    ax, al = model.adjoint_Q(u, g, minus=z)
     x = (ax + (wt.vertex_weights / rho)[:, None] * np.asarray(y)) / (2.0 * nu[:, None])
     ell = 0.5 * (al + wt.edge_weights / rho)
     return x, ell
 
 
-def _project(blocks, pool, n_threads: int) -> np.ndarray:
-    """project_shifted_psd over the batch, split across the pool's threads
-    (LAPACK releases the GIL) when there is a pool and enough blocks."""
+def _project(blocks, out, pool, n_threads: int):
+    """project_shifted_psd of the batch into out, split along the block
+    axis across the pool's threads (LAPACK releases the GIL) when there is
+    a pool and enough blocks."""
     if pool is None or blocks.shape[0] < 2 * n_threads:
-        return project_shifted_psd(blocks)
-    return np.concatenate(list(pool.map(project_shifted_psd, np.array_split(blocks, n_threads))))
+        project_shifted_psd(blocks, out=out)
+        return
+    list(pool.map(lambda b, o: project_shifted_psd(b, out=o),
+                  np.array_split(blocks, n_threads), np.array_split(out, n_threads)))
 
 
 def normalize_rows(x) -> np.ndarray:
@@ -145,10 +153,10 @@ def admm_solve(
     t0 = time.perf_counter()
     x = np.zeros((n, d))
     ell = np.zeros(m)
-    u = np.zeros((m, k, k))
-    # The scaled dual z; each iteration adds Q(x, ell) - I to it in place,
-    # projects the sum, and subtracts the projection to take the dual step.
-    z = np.zeros((m, k, k))
+    # Each iteration adds Q(x, ell) - I to z in place, projects z into u,
+    # and subtracts u from z to take the dual step.
+    z = np.zeros((k, k, m)).transpose(2, 0, 1)
+    u = np.zeros((k, k, m)).transpose(2, 0, 1)
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf
@@ -159,8 +167,8 @@ def admm_solve(
             x, ell = x_new, ell_new
             if not np.isfinite(res):
                 raise SolverDivergence(f"non-finite iterate at iteration {it}")
-            blocks = model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
-            u = _project(blocks, pool, n_threads)
+            model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
+            _project(z, u, pool, n_threads)
             z -= u
             if collect_trace:
                 obj_trace.append(model._objective_K(x, ell, y, wt))

@@ -6,6 +6,7 @@ divergence (non-finite iterate).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -86,9 +87,14 @@ def _load_config_file(path):
 
 
 def _merged(args, file_cfg, defaults):
-    """Precedence: built-in defaults < config file < command-line flags."""
+    """Precedence: built-in defaults < config file < command-line flags.
+
+    Each value must have its default's type: a JSON boolean for a bool, an
+    integral number for an int, a finite number for a float, and for the
+    weights lam and w also a path.  Raises ValueError naming the key.
+    """
     out = dict(defaults)
-    for k in defaults:
+    for k, default in defaults.items():
         if k == "lam" and "lambda" in file_cfg:
             out[k] = file_cfg["lambda"]
         if k in file_cfg:
@@ -96,7 +102,20 @@ def _merged(args, file_cfg, defaults):
         flag = getattr(args, k, None)
         if flag is not None:
             out[k] = flag
+        if not (_fits(out[k], default) or k in ("lam", "w") and isinstance(out[k], str)):
+            kind = {bool: "true or false", int: "an integer"}.get(type(default), "a finite number")
+            kind += " or a path" if k in ("lam", "w") else ""
+            raise ValueError(f"{k} must be {kind}, got {out[k]!r}")
     return out
+
+
+def _fits(val, default) -> bool:
+    """Whether val has the JSON type of default, a bool, int or float."""
+    if isinstance(val, bool) or isinstance(default, bool) or not isinstance(val, (int, float)):
+        return type(val) is type(default)
+    if isinstance(val, int):
+        return isinstance(default, int) or abs(val) <= sys.float_info.max
+    return math.isfinite(val) and (isinstance(default, float) or val.is_integer())
 
 
 def _float_or_file(spec, length, default):

@@ -6,7 +6,7 @@ second slot" convention used by the adjoint bookkeeping of the solver.
 Graphs are immutable after construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,13 @@ def _as_edge_array(edges) -> np.ndarray:
     return e
 
 
-def _is_connected(n_vertices: int, edges: np.ndarray) -> bool:
-    """Union-find in numpy.  Each round hooks every root under the smallest
-    root it shares an edge with, then every vertex jumps to its root; the
-    rounds stop once every edge joins two vertices of the same root.
-    Parents only ever point to smaller vertices, so vertex 0 is the root of
-    its component, and the graph is connected when it is everyone's."""
-    a, b = edges[:, 0] - 1, edges[:, 1] - 1
+def _is_connected(n_vertices: int, a: np.ndarray, b: np.ndarray) -> bool:
+    """Union-find in numpy over the 0-based edges (a, b).  Each round hooks
+    every root under the smallest root it shares an edge with, then every
+    vertex jumps to its root; the rounds stop once every edge joins two
+    vertices of the same root.  Parents only ever point to smaller
+    vertices, so vertex 0 is the root of its component, and the graph is
+    connected when it is everyone's."""
     root = np.arange(n_vertices)
     while True:
         ra, rb = root[a], root[b]
@@ -57,6 +57,9 @@ class Graph:
     """Connected undirected graph with ordered, duplicate-free edges.
 
     `edges` holds 1-based vertex pairs (n, m) with n < m, one row per edge.
+    The read-only index arrays `first` and `second` hold the 0-based first
+    (smaller) and second endpoint of every edge, and `slots` holds both,
+    `first` then `second`.  They are computed once per graph.
     """
 
     n_vertices: int
@@ -75,25 +78,18 @@ class Graph:
             packed = np.sort(e[:, 0] * (n + 1) + e[:, 1])
             if (packed[1:] == packed[:-1]).any():
                 raise ValueError("duplicate edges are not allowed")
-        if not _is_connected(n, e):
+        first, second = e[:, 0] - 1, e[:, 1] - 1
+        if not _is_connected(n, first, second):
             raise ValueError("graph must be connected")
-        e.setflags(write=False)
         object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "edges", e)
+        for name, a in (("edges", e), ("first", first), ("second", second),
+                        ("slots", np.concatenate([first, second]))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def m_edges(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def first(self) -> np.ndarray:
-        """0-based indices of the first (smaller) endpoint of every edge."""
-        return self.edges[:, 0] - 1
-
-    @property
-    def second(self) -> np.ndarray:
-        """0-based indices of the second (larger) endpoint of every edge."""
-        return self.edges[:, 1] - 1
 
 
 def from_edge_pairs(n_vertices: int, pairs) -> Graph:
@@ -133,8 +129,7 @@ def grid_graph(height: int, width: int) -> Graph:
 
 def degree_table(g: Graph) -> np.ndarray:
     """Number of edges starting or ending in each vertex (nu_n)."""
-    n = g.n_vertices
-    return np.bincount(g.first, minlength=n) + np.bincount(g.second, minlength=n)
+    return np.bincount(g.slots, minlength=g.n_vertices)
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,9 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
 
         return wrapper
 
-    def recorded(blocks):
+    def recorded(blocks, out):
         symmetric.append(np.array_equal(blocks, blocks.swapaxes(-1, -2)))
-        return project(blocks)
+        return project(blocks, out=out)
 
     def count_add_at(frame, event, arg):
         if event == "c_call" and getattr(arg, "__self__", None) is np.add and arg.__name__ == "at":
@@ -130,6 +130,44 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
     assert symmetric == [True] * 25
 
 
+def test_projection_reuses_its_buffers(monkeypatch):
+    # The dual and the projection are allocated once, with the block axis
+    # fastest, and every iteration projects the one into the other.
+    seen = []
+
+    def recorded(blocks, out):
+        seen.append((blocks.__array_interface__["data"][0], out.__array_interface__["data"][0],
+                     blocks.strides[0], out.strides[0]))
+        return project(blocks, out=out)
+
+    project = admm.project_shifted_psd
+    monkeypatch.setattr(admm, "project_shifted_psd", recorded)
+    y = synth.add_vmf_noise(synth.smooth_circle_signal(30, 1), 10.0, 2)
+    g = line_graph(30)
+    res = admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
+    assert res.iterations == len(seen) == 25
+    assert len(set(seen)) == 1
+    blocks, out, blocks_stride, out_stride = seen[0]
+    assert blocks != out
+    assert blocks_stride == out_stride == 8
+
+
+def test_threaded_jacobi_solve_matches_one_thread():
+    # 46x46 grid: 4140 blocks of side 4, so each half of a 2-thread split
+    # still takes the Jacobi path.
+    g = grid_graph(46, 46)
+    assert g.m_edges // 2 >= smallsym.JACOBI_MIN_BLOCKS
+    rng = np.random.default_rng(6)
+    y = synth.add_vmf_noise(synth.smooth_circle_field(46, 46, rng), 20.0, rng)
+    wt = Weights.constant(g, 1.0, 1.0)
+    cfg = SolverConfig(rho=3.0, max_iter=2000, tol=1e-4)
+    seq = admm_solve(y, g, wt, cfg)
+    par = admm_solve(y, g, wt, cfg, n_threads=2)
+    assert par.iterations == seq.iterations < cfg.max_iter
+    assert np.abs(par.x - seq.x).max() <= 1e-12
+    assert np.abs(par.ell - seq.ell).max() <= 1e-12
+
+
 def test_jacobi_projection_gives_the_eigen_clip_solve(monkeypatch):
     # 33x33 grid: 2112 blocks of side 4, so the solver projects on the
     # Jacobi path; the oracle is the clip written out from eigh.
@@ -141,9 +179,10 @@ def test_jacobi_projection_gives_the_eigen_clip_solve(monkeypatch):
     cfg = SolverConfig(rho=3.0, max_iter=2000, tol=1e-4)
     jacobi = admm_solve(y, g, wt, cfg)
 
-    def eigen_clip(a):
+    def eigen_clip(a, out):
         w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
-        return (v * np.maximum(w, -1.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
+        out[...] = (v * np.maximum(w, -1.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
+        return out
 
     monkeypatch.setattr(admm, "project_shifted_psd", eigen_clip)
     oracle = admm_solve(y, g, wt, cfg)

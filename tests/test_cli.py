@@ -172,6 +172,33 @@ def test_config_file_precedence(tmp_path):
     assert json.loads((out4 / "report.json").read_text())["iterations"] == 20
 
 
+@pytest.mark.parametrize("command", ["denoise", "experiment"])
+def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, command):
+    sig = tmp_path / "sig.csv"
+    fileio.write_signal_csv(sig, synth.smooth_circle_signal(10, 6))
+    target = [sig, "--graph", "line"] if command == "denoise" else ["circle-line", "--n", 10]
+    bad = [{"rho": None}, {"tol": [1]}, {"max_iter": 1e400}, {"max_iter": 2.7},
+           {"seed": "1"}, {"threads": True}, {"rho": 10**400}, {"lambda": None}, {"w": [1.0]}]
+    if command == "denoise":
+        bad.append({"retract": "false"})
+    for i, values in enumerate(bad):
+        cfgp = tmp_path / f"bad{i}.json"
+        # json writes a float beyond range as the literal Infinity
+        cfgp.write_text(json.dumps(values).replace("Infinity", "1e400"))
+        out = tmp_path / f"o{i}"
+        assert run([command, *target, "--config", cfgp, "--outdir", out]) == 2
+        key = next(iter(values))
+        assert capsys.readouterr().err.startswith(f"error: {'lam' if key == 'lambda' else key} ")
+        assert not out.exists()
+    # integral numbers are integers, and JSON booleans are booleans
+    cfgp = tmp_path / "good.json"
+    good = {"max_iter": 5.0, "rho": 3, "seed": 2}
+    cfgp.write_text(json.dumps({**good, "retract": True} if command == "denoise" else good))
+    out = tmp_path / "good"
+    assert run([command, *target, "--config", cfgp, "--tol", 0, "--outdir", out]) == 0
+    assert json.loads((out / "report.json").read_text())["iterations"] == 5
+
+
 def test_weight_flags_keep_numbers_as_numbers(tmp_path):
     out = tmp_path / "e"
     assert run(["experiment", "circle-line", "--n", 10, "--lambda", 7, "--w", 2,

@@ -24,6 +24,17 @@ def test_line_graph_structure():
     assert g.second.tolist() == [1, 2, 3, 4]
 
 
+def test_index_arrays_are_computed_once_and_read_only():
+    g = grid_graph(3, 4)
+    for name in ("first", "second", "slots"):
+        a = getattr(g, name)
+        assert getattr(g, name) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert g.slots.tolist() == g.first.tolist() + g.second.tolist()
+
+
 def test_grid_graph_structure():
     g = grid_graph(2, 3)
     # 1 2 3

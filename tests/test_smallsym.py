@@ -243,3 +243,42 @@ def test_unconverged_jacobi_blocks_fall_back_to_eigh(monkeypatch):
     assert counter.calls == 3
     assert np.abs(p - eigen_clip(a)).max() < 1e-12
     assert np.array_equal(p, p.swapaxes(-1, -2))
+
+
+def block_axis_fastest(a):
+    """A copy of the (M, k, k) batch a, stored (k, k, M)."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("path, k", on_both_paths([2, 4, 6]))
+@pytest.mark.parametrize("in_layout", [np.ascontiguousarray, block_axis_fastest],
+                         ids=["in-mkk", "in-kkm"])
+@pytest.mark.parametrize("out_layout", [np.ascontiguousarray, block_axis_fastest],
+                         ids=["out-mkk", "out-kkm"])
+def test_projection_into_out_equals_the_returned_one(path, k, in_layout, out_layout, on_path):
+    rng = np.random.default_rng(400 + k)
+    a = in_layout(on_path(path, rng.standard_normal((200, k, k))))
+    out = out_layout(np.full(a.shape, np.nan))
+    assert project_shifted_psd(a, out=out) is out
+    assert np.array_equal(out, project_shifted_psd(a))
+
+
+@pytest.mark.parametrize("sweeps", [jacobi.MAX_SWEEPS, 1])
+@pytest.mark.parametrize("k", [4, 6])
+def test_projection_into_out_over_several_chunks(monkeypatch, k, sweeps):
+    # k = 4 runs on Jacobi, with every block converged or, after one sweep,
+    # most of them left to eigh; k = 6 runs on eigh.
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", sweeps)
+    rng = np.random.default_rng(500 + k)
+    a = block_axis_fastest(random_sym(rng, k, batch=smallsym.CHUNK + smallsym.JACOBI_MIN_BLOCKS))
+    out = block_axis_fastest(np.full(a.shape, np.nan))
+    project_shifted_psd(a, out=out)
+    assert np.array_equal(out, project_shifted_psd(a))
+    assert np.array_equal(out, project_shifted_psd(np.ascontiguousarray(a)))
+
+
+def test_projection_rejects_an_out_that_does_not_fit():
+    a = np.zeros((4, 3, 3))
+    for bad in (np.zeros((4, 3, 4)), np.zeros((3, 3)), np.zeros((4, 3, 3), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            project_shifted_psd(a, out=bad)
