@@ -4,11 +4,8 @@ The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
 The matrix-model variant, which verifies this solver, is in `verify`.
-
-The solver's large state, the scaled dual z and the projection u, is
-allocated once per solve in (k, k, M) layout.  The loop hands their
-(M, k, k) views to `model` and `smallsym`, so each entry (i, j) of all
-blocks is one contiguous row, and no iteration allocates a block field.
+The scaled dual z and the projection u are allocated once per solve and
+stored (k, k, M), so each entry (i, j) of all blocks is one row.
 """
 
 import math
@@ -94,21 +91,20 @@ def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
         raise ValueError("rho must be positive")
     if nu is None:
         nu = _degrees(g)
-    ax, al = model.adjoint_Q(u, g, minus=z)
-    x = (ax + (wt.vertex_weights / rho)[:, None] * np.asarray(y)) / (2.0 * nu[:, None])
-    ell = 0.5 * (al + wt.edge_weights / rho)
+    # The adjoint is linear, so that of u - z is taken without forming u - z.
+    (ax, al), (bx, bl) = model.adjoint_Q(u, g), model.adjoint_Q(z, g)
+    x = (ax - bx + (wt.vertex_weights / rho)[:, None] * np.asarray(y)) / (2.0 * nu[:, None])
+    ell = 0.5 * (al - bl + wt.edge_weights / rho)
     return x, ell
 
 
 def _project(blocks, out, pool, n_threads: int):
-    """project_shifted_psd of the batch into out, split along the block
-    axis across the pool's threads (LAPACK releases the GIL) when there is
-    a pool and enough blocks."""
-    if pool is None or blocks.shape[0] < 2 * n_threads:
-        project_shifted_psd(blocks, out=out)
-        return
-    list(pool.map(lambda b, o: project_shifted_psd(b, out=o),
-                  np.array_split(blocks, n_threads), np.array_split(out, n_threads)))
+    """project_shifted_psd of blocks into out, split along M across the
+    pool's threads (LAPACK releases the GIL) when there are enough blocks."""
+    if pool is None or len(blocks) < 2 * n_threads:
+        project_shifted_psd(blocks, out)
+    else:
+        list(pool.map(project_shifted_psd, *(np.array_split(a, n_threads) for a in (blocks, out))))
 
 
 def normalize_rows(x) -> np.ndarray:
@@ -153,8 +149,7 @@ def admm_solve(
     t0 = time.perf_counter()
     x = np.zeros((n, d))
     ell = np.zeros(m)
-    # Each iteration adds Q(x, ell) - I to z in place, projects z into u,
-    # and subtracts u from z to take the dual step.
+    # The scaled dual and the projection, written in place every iteration.
     z = np.zeros((k, k, m)).transpose(2, 0, 1)
     u = np.zeros((k, k, m)).transpose(2, 0, 1)
     obj_trace, dist_trace, res_trace = [], [], []

@@ -6,7 +6,6 @@ divergence (non-finite iterate).
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -88,11 +87,8 @@ def _load_config_file(path):
 
 def _merged(args, file_cfg, defaults):
     """Precedence: built-in defaults < config file < command-line flags.
-
-    Each value must have its default's type: a JSON boolean for a bool, an
-    integral number for an int, a finite number for a float, and for the
-    weights lam and w also a path.  Raises ValueError naming the key.
-    """
+    A value unlike its default in JSON type (ints integral, floats finite;
+    lam and w may be paths) raises ValueError naming the key."""
     out = dict(defaults)
     for k, default in defaults.items():
         if k == "lam" and "lambda" in file_cfg:
@@ -115,7 +111,7 @@ def _fits(val, default) -> bool:
         return type(val) is type(default)
     if isinstance(val, int):
         return isinstance(default, int) or abs(val) <= sys.float_info.max
-    return math.isfinite(val) and (isinstance(default, float) or val.is_integer())
+    return np.isfinite(val) and (isinstance(default, float) or val.is_integer())
 
 
 def _float_or_file(spec, length, default):

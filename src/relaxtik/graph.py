@@ -33,10 +33,9 @@ def _as_edge_array(edges) -> np.ndarray:
 def _is_connected(n_vertices: int, a: np.ndarray, b: np.ndarray) -> bool:
     """Union-find in numpy over the 0-based edges (a, b).  Each round hooks
     every root under the smallest root it shares an edge with, then every
-    vertex jumps to its root; the rounds stop once every edge joins two
-    vertices of the same root.  Parents only ever point to smaller
-    vertices, so vertex 0 is the root of its component, and the graph is
-    connected when it is everyone's."""
+    vertex jumps to its root, until every edge joins two vertices of one
+    root.  Parents only ever point to smaller vertices, so vertex 0 is the
+    root of its component, and the graph is connected when it is everyone's."""
     root = np.arange(n_vertices)
     while True:
         ra, rb = root[a], root[b]
@@ -57,9 +56,7 @@ class Graph:
     """Connected undirected graph with ordered, duplicate-free edges.
 
     `edges` holds 1-based vertex pairs (n, m) with n < m, one row per edge.
-    The read-only index arrays `first` and `second` hold the 0-based first
-    (smaller) and second endpoint of every edge, and `slots` holds both,
-    `first` then `second`.  They are computed once per graph.
+    `first` and `second` are its read-only 0-based endpoints, `slots` both.
     """
 
     n_vertices: int

@@ -10,9 +10,6 @@ For a signal x (N vectors in R^d) and per-edge scalars ell, every edge
 which is PSD with rank d exactly when x_n, x_m are unit vectors and
 ell = <x_n, x_m>.  The solver works with the shifted blocks Q - I, which
 apply_Q builds; `verify.constraint_blocks` returns the unshifted Q.
-
-Block fields are (M, d+2, d+2) arrays of any strides; the ADMM loop
-passes views of (d+2, d+2, M) arrays, whose entries (i, j) are rows.
 """
 
 import numpy as np
@@ -52,12 +49,12 @@ def _check_ell(ell, g: Graph):
 def apply_Q(x, ell, g: Graph, add_to=None) -> np.ndarray:
     """Shifted block field (Q_(n,m) - I) for all edges.
 
-    With `add_to`, an (M, d+2, d+2) array or view, the field is added to
-    it in place and `add_to` is returned; the ADMM loop builds z + Q - I
-    this way in its (k, k, M) dual.  Runs once per ADMM iteration and
-    does not check its input: x must be an (N, d) array and ell an (M,)
-    array.  `verify.constraint_blocks` is the checked form, and
-    `admm_solve` checks the signal once at entry.
+    With `add_to`, an (M, d+2, d+2) array of any strides, the field is
+    added to it in place and `add_to` is returned; the ADMM loop builds
+    z + Q - I this way in its (d+2, d+2, M) dual, whose entries (i, j) are
+    rows.  Runs once per ADMM iteration and does not check its input: x
+    must be (N, d) and ell (M,).  `verify.constraint_blocks` is the checked
+    form, and `admm_solve` checks the signal once at entry.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[1]
@@ -76,14 +73,7 @@ def apply_Q(x, ell, g: Graph, add_to=None) -> np.ndarray:
     return q
 
 
-def _check_blocks(u, g: Graph, d: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.m_edges, d + 2, d + 2):
-        raise ValueError("block field has inconsistent shape")
-    return u
-
-
-def adjoint_Q(u, g: Graph, d=None, minus=None):
+def adjoint_Q(u, g: Graph, d=None):
     """Adjoint of the shifted-block operator, split by component space.
 
     Returns (x_part, ell_part) where for vertex n and component i
@@ -92,31 +82,20 @@ def adjoint_Q(u, g: Graph, d=None, minus=None):
                      + sum over edges with n second of U[i, d+1] + U[d+1, i]
 
     and ell_part[e] = U[d, d+1] + U[d+1, d].  (0-based entries; the -I shift
-    contributes nothing because it vanishes on these positions.)  With
-    `minus`, a block field of u's shape, U = u - minus, formed on these
-    entries only; the primal update reads u - z this way.
+    contributes nothing because it vanishes on these positions.)
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim != 3:
+    d = u.shape[-1] - 2 if d is None and u.ndim == 3 else d
+    if u.ndim != 3 or u.shape != (g.m_edges, d + 2, d + 2):
         raise ValueError("block field must be (M, d+2, d+2)")
-    if d is None:
-        d = u.shape[-1] - 2
-    u = _check_blocks(u, g, d)
-    if minus is not None:
-        minus = _check_blocks(minus, g, d)
-
-    def pair(i, j):
-        if minus is None:
-            return u[:, i, j] + u[:, j, i]
-        return (u[:, i, j] - minus[:, i, j]) + (u[:, j, i] - minus[:, j, i])
-
     # Per component, one bincount over the first-slot terms followed by the
     # second-slot terms: each vertex sums its terms in edge order.
-    x_part = np.empty((g.n_vertices, d))
+    terms, x_part = np.empty((2, len(u))), np.empty((g.n_vertices, d))
     for i in range(d):
-        terms = np.concatenate([pair(i, d), pair(i, d + 1)])
-        x_part[:, i] = np.bincount(g.slots, weights=terms, minlength=g.n_vertices)
-    return x_part, pair(d, d + 1)
+        np.add(u[:, i, d], u[:, d, i], out=terms[0])
+        np.add(u[:, i, d + 1], u[:, d + 1, i], out=terms[1])
+        x_part[:, i] = np.bincount(g.slots, weights=terms.ravel(), minlength=g.n_vertices)
+    return x_part, u[:, d, d + 1] + u[:, d + 1, d]
 
 
 def objective_K(x, ell, y, wt: Weights, g: Graph) -> float:

@@ -5,12 +5,9 @@ C = {A : A = A^T, A >= -I} by clipping its eigenvalues at -1.  Functions
 accept a single (k, k) matrix or a batch of shape (M, k, k) with k in 2..12.
 
 There is one clip and two eigensolvers.  The batch runs CHUNK (8192)
-blocks at a time: the symmetric part of a chunk is gathered into a
-(k, k, m) array, diagonalized and rebuilt as a clipped block.  The
-ADMM loop passes the input and `out=` as views of (k, k, M) arrays: the
-gather then reads contiguous rows, the output chunk is the work array,
-and nothing is scattered back.  Any other output is copied from a work
-buffer.  The batch's shape (M, k) picks the eigensolver:
+blocks at a time: the symmetric part of a chunk is gathered into its
+slice of the result, seen as (k, k, m), diagonalized and rebuilt there
+as a clipped block.  The batch's shape (M, k) picks the eigensolver:
 
 - M >= JACOBI_MIN_BLOCKS (2048) and k <= JACOBI_MAX_DIM (5): cyclic
   Jacobi (`relaxtik.jacobi`), each rotation a few contiguous 1-D ufunc
@@ -64,11 +61,10 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
     Clips the eigenvalues at -1: V max(Sigma, -1) V^T, rebuilt as in the
     module docstring, on the path the module docstring names for the
-    batch's shape.  The result is exactly symmetric.  With `out`, a float
-    array of a's shape, the result is written there and `out` is returned;
-    an `out` with the block axis fastest is worked in place, chunk by
-    chunk.  Raises ValueError for anything but a finite square (k, k) or
-    (M, k, k) array with 2 <= k <= 12, or an `out` that does not fit it.
+    batch's shape.  The result is exactly symmetric; with `out`, a float
+    array of a's shape (fastest when stored (k, k, M)), it is built there and
+    `out` is returned.  Raises ValueError for anything but a finite square
+    (k, k) or (M, k, k) array with 2 <= k <= 12, or an `out` unlike it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -86,19 +82,10 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     if jacobi:
         from relaxtik.jacobi import eig  # compiled only where it runs
     p = np.empty_like(batch) if out is None else out.reshape(batch.shape)
-    # An output with the block axis fastest is its own (k, k, m) work
-    # array; any other is filled from one flat buffer, so the last, shorter
-    # chunk is contiguous too.
-    in_place = p.strides[0] == p.itemsize
-    size = k * k * min(len(batch), CHUNK)
-    s_buf = None if in_place else np.empty(size)
-    w_buf = np.empty(size)
+    w_buf = np.empty(k * k * min(len(batch), CHUNK))
     for lo in range(0, len(batch), CHUNK):
         c = batch[lo : lo + CHUNK]
-        if in_place:
-            s = p[lo : lo + CHUNK].transpose(1, 2, 0)
-        else:
-            s = s_buf[: c.size].reshape(k, k, -1)
+        s = p[lo : lo + CHUNK].transpose(1, 2, 0)
         w = w_buf[: c.size].reshape(s.shape)
         # The symmetric part: eigh reads one triangle only.
         np.add(c.transpose(1, 2, 0), c.transpose(2, 1, 0), out=s)
@@ -122,8 +109,6 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
             # entries (i, j) and (j, i) differently and break the symmetry.
             np.multiply(g[:, None], g, out=w)
             s += w
-        if not in_place:
-            np.copyto(p[lo : lo + CHUNK], s.transpose(2, 0, 1))
         del lam, vt  # freed before the next chunk makes its own: a lower peak
     return p.reshape(a.shape) if out is None else out
 
