@@ -4,11 +4,13 @@ The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
 The matrix-model variant, which verifies this solver, is in `verify`.
-The scaled dual z and the projection u are allocated once per solve and
-stored (k, k, M), so each entry (i, j) of all blocks is one row.
+The scaled dual z, the projection u and, where the projection runs
+Jacobi, its eigenvector basis are allocated once per solve and stored
+(k, k, M), so each entry (i, j) of all blocks is one row.
 """
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -18,7 +20,7 @@ import numpy as np
 
 from relaxtik import model
 from relaxtik.graph import Graph, Weights, degree_table
-from relaxtik.smallsym import project_shifted_psd
+from relaxtik.smallsym import project_shifted_psd, uses_jacobi
 
 __all__ = [
     "SolverConfig",
@@ -82,29 +84,33 @@ def _degrees(g: Graph) -> np.ndarray:
     return nu
 
 
-def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
+def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None, terms=None):
     """Closed-form minimizer of the augmented Lagrangian in (x, ell).
 
-    nu is the degree table of g; it is computed when not given.
+    nu is the degree table of g; it is computed when not given.  terms is
+    `model.adjoint_Q` scratch.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if nu is None:
         nu = _degrees(g)
     # The adjoint is linear, so that of u - z is taken without forming u - z.
-    (ax, al), (bx, bl) = model.adjoint_Q(u, g), model.adjoint_Q(z, g)
+    (ax, al), (bx, bl) = model.adjoint_Q(u, g, None, terms), model.adjoint_Q(z, g, None, terms)
     x = (ax - bx + (wt.vertex_weights / rho)[:, None] * np.asarray(y)) / (2.0 * nu[:, None])
     ell = 0.5 * (al - bl + wt.edge_weights / rho)
     return x, ell
 
 
-def _project(blocks, out, pool, n_threads: int):
-    """project_shifted_psd of blocks into out, split along M across the
-    pool's threads (LAPACK releases the GIL) when there are enough blocks."""
+def _project(blocks, out, basis, pool, n_threads: int):
+    """project_shifted_psd of blocks into out from basis, split along M
+    across the pool's threads (numpy releases the GIL) when there are
+    enough blocks."""
     if pool is None or len(blocks) < 2 * n_threads:
-        project_shifted_psd(blocks, out)
+        project_shifted_psd(blocks, out, basis)
     else:
-        list(pool.map(project_shifted_psd, *(np.array_split(a, n_threads) for a in (blocks, out))))
+        bases = [None] * n_threads if basis is None else np.array_split(basis, n_threads)
+        splits = (np.array_split(a, n_threads) for a in (blocks, out))
+        list(pool.map(project_shifted_psd, *splits, bases))
 
 
 def normalize_rows(x) -> np.ndarray:
@@ -130,7 +136,8 @@ def admm_solve(
     Stops when the 2-norm change of (x, ell) between iterations drops below
     cfg.tol, or after cfg.max_iter iterations.  With cfg.retract the output
     signal is normalized onto the sphere; near-zero vectors are left alone
-    and reported in collapsed_vertices.  Raises SolverDivergence at the
+    and reported in collapsed_vertices.  At most os.cpu_count() of the
+    n_threads are used.  Raises SolverDivergence at the
     first iteration whose (x, ell) is not finite; numpy's floating-point
     warnings on the way there are silenced, since the exception reports it.
     """
@@ -143,27 +150,34 @@ def admm_solve(
         raise ValueError("input signal has wrong shape")
     if n_threads < 1:
         raise ValueError("threads must be at least 1")
+    n_threads = min(n_threads, os.cpu_count() or 1)
     m, k = g.m_edges, d + 2
     nu = _degrees(g)
 
     t0 = time.perf_counter()
     x = np.zeros((n, d))
     ell = np.zeros(m)
-    # The scaled dual and the projection, written in place every iteration.
+    # The scaled dual and the projection, written in place every iteration,
+    # and the eigenvector basis of a Jacobi projection, an identity at first.
     z = np.zeros((k, k, m)).transpose(2, 0, 1)
     u = np.zeros((k, k, m)).transpose(2, 0, 1)
+    basis = None
+    if uses_jacobi(-(-m // n_threads), k):  # the largest split's size
+        basis = np.zeros((k, k, m)).transpose(2, 0, 1)
+        basis[:, range(k), range(k)] = 1.0
+    terms = np.empty((2, m))
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf
     with _pool(n_threads) as pool, np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):
-            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu)
+            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu, terms)
             res = residual((x, ell), (x_new, ell_new))
             x, ell = x_new, ell_new
             if not np.isfinite(res):
                 raise SolverDivergence(f"non-finite iterate at iteration {it}")
             model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
-            _project(z, u, pool, n_threads)
+            _project(z, u, basis, pool, n_threads)
             z -= u
             if collect_trace:
                 obj_trace.append(model._objective_K(x, ell, y, wt))

@@ -33,6 +33,9 @@ Jacobi ties at k = 6 and loses above.  The 90x90 circle grid (16,020
 blocks, k = 4) takes the Jacobi path; 1000-rotation SO(3) lines (999
 blocks, k = 6) and short lines do not.
 
+The table times cold starts; `relaxtik.jacobi` has the warm-started
+ones, which leave the dispatch as it is.
+
 The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
     P = A + G G^T,   G = V_below sqrt(-1 - lambda_below),
@@ -45,7 +48,7 @@ g_j g_i at (j, i), which are the same float, so P is exactly symmetric.
 
 import numpy as np
 
-__all__ = ["project_shifted_psd"]
+__all__ = ["project_shifted_psd", "uses_jacobi"]
 
 MAX_DIM = 12
 # Dispatch to Jacobi, from the crossover table above.
@@ -56,15 +59,25 @@ JACOBI_MIN_BLOCKS = 2048
 CHUNK = 8192
 
 
-def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def uses_jacobi(m: int, k: int) -> bool:
+    """Whether a batch of m blocks of side k is diagonalized by Jacobi."""
+    return k <= JACOBI_MAX_DIM and m >= JACOBI_MIN_BLOCKS
+
+
+def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
+                        basis: np.ndarray | None = None) -> np.ndarray:
     """Frobenius-nearest point of C = {A symmetric, A >= -I}.
 
     Clips the eigenvalues at -1: V max(Sigma, -1) V^T, rebuilt as in the
     module docstring, on the path the module docstring names for the
     batch's shape.  The result is exactly symmetric; with `out`, a float
     array of a's shape (fastest when stored (k, k, M)), it is built there and
-    `out` is returned.  Raises ValueError for anything but a finite square
-    (k, k) or (M, k, k) array with 2 <= k <= 12, or an `out` unlike it.
+    `out` is returned.  On the Jacobi path `basis`, a float array of a's
+    shape holding each block's eigenvectors as rows (an identity, or a
+    previous call's), starts the sweeps and receives the eigenvectors
+    found; the eigh path leaves it alone.  Raises ValueError for anything
+    but a finite square (k, k) or (M, k, k) array with 2 <= k <= 12, or an
+    `out` or `basis` unlike it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -75,13 +88,15 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     # Checked on the input: eigh can return finite eigenvalues for a NaN entry.
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if out is not None and (out.shape != a.shape or out.dtype != float):
-        raise ValueError("out must be a float array of the input's shape")
+    for name, b in (("out", out), ("basis", basis)):
+        if b is not None and (getattr(b, "shape", None) != a.shape or b.dtype != float):
+            raise ValueError(f"{name} must be a float array of the input's shape")
     batch = a.reshape(-1, k, k)
-    jacobi = k <= JACOBI_MAX_DIM and len(batch) >= JACOBI_MIN_BLOCKS
+    jacobi = uses_jacobi(len(batch), k)
     if jacobi:
         from relaxtik.jacobi import eig  # compiled only where it runs
     p = np.empty_like(batch) if out is None else out.reshape(batch.shape)
+    v = basis.reshape(batch.shape) if jacobi and basis is not None else None
     w_buf = np.empty(k * k * min(len(batch), CHUNK))
     for lo in range(0, len(batch), CHUNK):
         c = batch[lo : lo + CHUNK]
@@ -91,7 +106,8 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
         np.add(c.transpose(1, 2, 0), c.transpose(2, 1, 0), out=s)
         s *= 0.5
         if jacobi:
-            lam, vt, converged = eig(s, w)
+            vt = None if v is None else v[lo : lo + CHUNK].transpose(1, 2, 0)
+            lam, vt, converged = eig(s, w, vt)
             if not converged.all():
                 idx = np.flatnonzero(~converged)
                 lam[:, idx], vt[:, :, idx] = _eigh(s[:, :, idx])

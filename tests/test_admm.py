@@ -1,4 +1,7 @@
+import json
+import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -82,6 +85,7 @@ def test_threaded_solve_creates_one_pool(monkeypatch, d, n_threads):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(admm, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: n_threads)
     truth = synth.smooth_circle_signal(40, 4) if d == 2 else synth.smooth_sphere_signal(40, d, 4)
     y = synth.add_vmf_noise(truth, 10.0, 5)
     g = line_graph(40)
@@ -92,6 +96,46 @@ def test_threaded_solve_creates_one_pool(monkeypatch, d, n_threads):
     par = admm_solve(y, g, wt, cfg, n_threads=n_threads)
     assert len(pools) == 1
     assert np.abs(seq.x - par.x).max() < 1e-12
+
+
+def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch, tmp_path):
+    # A serial stand-in for the pool records what the solver asks of it, so
+    # no thread starts however many are requested.
+    workers, splits = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            splits.append(len(args[0]))
+            return map(fn, *args)
+
+    monkeypatch.setattr(admm, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    running = threading.active_count()
+    y = synth.add_vmf_noise(synth.smooth_circle_signal(40, 4), 10.0, 5)
+    g = line_graph(40)
+    wt = Weights.constant(g, 1.0, 5.0)
+    cfg = SolverConfig(max_iter=30, tol=0.0)
+    par = admm_solve(y, g, wt, cfg, n_threads=8000)
+    assert workers == [3] and splits == [3] * 30
+    assert threading.active_count() == running
+    assert np.abs(par.x - admm_solve(y, g, wt, cfg).x).max() < 1e-12
+    # the report still echoes the requested count
+    from relaxtik.cli import main
+
+    out = tmp_path / "e"
+    assert main(["experiment", "circle-line", "--n", "40", "--threads", "8000",
+                 "--outdir", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["threads"] == 8000
+    assert workers[1:] == [3] and threading.active_count() == running
 
 
 def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
@@ -105,7 +149,7 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
 
         return wrapper
 
-    def recorded(blocks, out):
+    def recorded(blocks, out, basis=None):
         symmetric.append(np.array_equal(blocks, blocks.swapaxes(-1, -2)))
         return project(blocks, out=out)
 
@@ -132,13 +176,17 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
 
 def test_projection_reuses_its_buffers(monkeypatch):
     # The dual and the projection are allocated once, with the block axis
-    # fastest, and every iteration projects the one into the other.
-    seen = []
+    # fastest, and every iteration projects the one into the other.  A
+    # solve whose projection runs Jacobi also keeps one eigenvector basis,
+    # laid out the same way, to warm-start it; an eigh solve has none.
+    seen, bases = [], []
 
-    def recorded(blocks, out):
+    def recorded(blocks, out, basis=None):
         seen.append((blocks.__array_interface__["data"][0], out.__array_interface__["data"][0],
                      blocks.strides[0], out.strides[0]))
-        return project(blocks, out=out)
+        bases.append(basis if basis is None else
+                     (basis.__array_interface__["data"][0], basis.strides[0]))
+        return project(blocks, out=out, basis=basis)
 
     project = admm.project_shifted_psd
     monkeypatch.setattr(admm, "project_shifted_psd", recorded)
@@ -150,6 +198,18 @@ def test_projection_reuses_its_buffers(monkeypatch):
     blocks, out, blocks_stride, out_stride = seen[0]
     assert blocks != out
     assert blocks_stride == out_stride == 8
+    assert bases == [None] * 25
+    # 33x33 grid: 2112 blocks of side 4, on the Jacobi path
+    seen.clear(), bases.clear()
+    g = grid_graph(33, 33)
+    assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS
+    rng = np.random.default_rng(5)
+    y = synth.add_vmf_noise(synth.smooth_circle_field(33, 33, rng), 20.0, rng)
+    admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
+    assert len(seen) == len(bases) == 25
+    assert len(set(seen)) == len(set(bases)) == 1
+    (basis, basis_stride), (blocks, out, *_) = bases[0], seen[0]
+    assert basis not in (blocks, out) and basis_stride == 8
 
 
 def test_threaded_jacobi_solve_matches_one_thread():
@@ -179,7 +239,7 @@ def test_jacobi_projection_gives_the_eigen_clip_solve(monkeypatch):
     cfg = SolverConfig(rho=3.0, max_iter=2000, tol=1e-4)
     jacobi = admm_solve(y, g, wt, cfg)
 
-    def eigen_clip(a, out):
+    def eigen_clip(a, out, basis=None):
         w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
         out[...] = (v * np.maximum(w, -1.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
         return out

@@ -279,6 +279,96 @@ def test_projection_into_out_over_several_chunks(monkeypatch, k, sweeps):
 
 def test_projection_rejects_an_out_that_does_not_fit():
     a = np.zeros((4, 3, 3))
-    for bad in (np.zeros((4, 3, 4)), np.zeros((3, 3)), np.zeros((4, 3, 3), dtype=np.float32)):
-        with pytest.raises(ValueError):
-            project_shifted_psd(a, out=bad)
+    for bad in (np.zeros((4, 3, 4)), np.zeros((3, 3)), np.zeros((4, 3, 3), dtype=np.float32),
+                [[[0.0] * 3] * 3] * 4):
+        for name in ("out", "basis"):
+            with pytest.raises(ValueError):
+                project_shifted_psd(a, **{name: bad})
+
+
+def identity_basis(n, k):
+    return np.tile(np.eye(k), (n, 1, 1))
+
+
+def orthonormality_error(basis):
+    """Largest entry of V^T V - I over the blocks; row c of basis[m] is
+    eigenvector c of block m."""
+    return np.abs(basis @ basis.swapaxes(-1, -2) - np.eye(basis.shape[-1])).max()
+
+
+class SweepCounter:
+    """jacobi._sweeps run one sweep at a time, recording for each call how
+    many sweeps rotated some block; the result is the same."""
+
+    def __init__(self, monkeypatch):
+        self.counts = []
+        self.sweeps, self.max_sweeps = jacobi._sweeps, jacobi.MAX_SWEEPS
+        monkeypatch.setattr(jacobi, "_sweeps", self)
+        monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1)
+
+    def __call__(self, w, vt):
+        rotating = 0
+        for _ in range(self.max_sweeps):
+            before = w.copy()
+            converged = self.sweeps(w, vt)
+            if np.array_equal(w, before):
+                break
+            rotating += 1
+        self.counts.append(rotating)
+        return converged
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_warm_started_jacobi_projection_matches_the_cold_one(k):
+    # The basis a projection leaves is orthonormal and starts the next one,
+    # here of a slightly changed batch; so does a basis perturbed off
+    # orthonormality, which the projection re-orthonormalizes first.
+    rng = np.random.default_rng(600 + k)
+    n = smallsym.JACOBI_MIN_BLOCKS
+    a = random_sym(rng, k, batch=n)
+    basis = identity_basis(n, k)
+    assert np.array_equal(project_shifted_psd(a, basis=basis), project_shifted_psd(a))
+    assert orthonormality_error(basis) <= 1e-14
+    a += 1e-3 * random_sym(rng, k, batch=n)
+    cold = project_shifted_psd(a)
+    out = np.full(a.shape, np.nan)
+    assert project_shifted_psd(a, out=out, basis=basis) is out
+    assert np.abs(out - cold).max() <= 1e-13
+    assert orthonormality_error(basis) <= 1e-14
+    basis += 1e-3 * rng.standard_normal(basis.shape)
+    assert orthonormality_error(basis) > 1e-4
+    assert np.abs(project_shifted_psd(a, basis=basis) - cold).max() <= 1e-13
+    assert orthonormality_error(basis) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_eigh_path_neither_reads_nor_writes_the_basis(k):
+    # a short batch of side 4 and a large one of side 6 both run on eigh
+    rng = np.random.default_rng(700 + k)
+    a = random_sym(rng, k, batch=255 if k == 4 else smallsym.JACOBI_MIN_BLOCKS)
+    basis = rng.standard_normal(a.shape)
+    before = basis.copy()
+    assert np.array_equal(project_shifted_psd(a, basis=basis), project_shifted_psd(a))
+    assert np.array_equal(basis, before)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_warm_start_cuts_the_rotating_sweeps(monkeypatch, k):
+    # A cold start takes 4 to 6 rotating sweeps; a projection of a slightly
+    # changed batch, warm-started from the first one's basis, at most 3.
+    rng = np.random.default_rng(800 + k)
+    n = smallsym.JACOBI_MIN_BLOCKS
+    a = random_sym(rng, k, batch=n)
+    b = a + 1e-3 * random_sym(rng, k, batch=n)
+
+    def two_projections():
+        basis = identity_basis(n, k)
+        project_shifted_psd(a, basis=basis)
+        return project_shifted_psd(b, basis=basis)
+
+    plain = two_projections()
+    counter = SweepCounter(monkeypatch)
+    assert np.array_equal(two_projections(), plain)
+    assert len(counter.counts) == 2
+    assert counter.counts[0] >= 4 and counter.counts[1] <= 3
+    assert np.abs(plain - eigen_clip(b)).max() < 1e-12
