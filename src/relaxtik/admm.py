@@ -20,7 +20,7 @@ import numpy as np
 
 from relaxtik import model
 from relaxtik.graph import Graph, Weights, degree_table
-from relaxtik.smallsym import project_shifted_psd, uses_jacobi
+from relaxtik.smallsym import project_shifted_psd, warm_basis
 
 __all__ = [
     "SolverConfig",
@@ -84,32 +84,31 @@ def _degrees(g: Graph) -> np.ndarray:
     return nu
 
 
-def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None, terms=None):
+def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
     """Closed-form minimizer of the augmented Lagrangian in (x, ell).
 
-    nu is the degree table of g; it is computed when not given.  terms is
-    `model.adjoint_Q` scratch.
+    nu is the degree table of g; it is computed when not given.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if nu is None:
         nu = _degrees(g)
     # The adjoint is linear, so that of u - z is taken without forming u - z.
-    (ax, al), (bx, bl) = model.adjoint_Q(u, g, None, terms), model.adjoint_Q(z, g, None, terms)
+    (ax, al), (bx, bl) = model.adjoint_Q(u, g), model.adjoint_Q(z, g)
     x = (ax - bx + (wt.vertex_weights / rho)[:, None] * np.asarray(y)) / (2.0 * nu[:, None])
     ell = 0.5 * (al - bl + wt.edge_weights / rho)
     return x, ell
 
 
-def _project(blocks, out, basis, pool, n_threads: int):
-    """project_shifted_psd of blocks into out from basis, split along M
-    across the pool's threads (numpy releases the GIL) when there are
-    enough blocks."""
-    if pool is None or len(blocks) < 2 * n_threads:
+def _project(blocks, out, basis, pool, parts: int):
+    """project_shifted_psd of blocks into out from basis, in `parts`
+    np.array_split pieces along M on the pool's threads (numpy releases
+    the GIL)."""
+    if parts == 1:
         project_shifted_psd(blocks, out, basis)
     else:
-        bases = [None] * n_threads if basis is None else np.array_split(basis, n_threads)
-        splits = (np.array_split(a, n_threads) for a in (blocks, out))
+        bases = [None] * parts if basis is None else np.array_split(basis, parts)
+        splits = (np.array_split(a, parts) for a in (blocks, out))
         list(pool.map(project_shifted_psd, *splits, bases))
 
 
@@ -119,8 +118,8 @@ def normalize_rows(x) -> np.ndarray:
     return x / np.where(norms < 1e-12, 1.0, norms)
 
 
-def _pool(n_threads: int):
-    return ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else nullcontext()
+def _pool(parts: int):
+    return ThreadPoolExecutor(max_workers=parts) if parts > 1 else nullcontext()
 
 
 def admm_solve(
@@ -150,8 +149,10 @@ def admm_solve(
         raise ValueError("input signal has wrong shape")
     if n_threads < 1:
         raise ValueError("threads must be at least 1")
-    n_threads = min(n_threads, os.cpu_count() or 1)
     m, k = g.m_edges, d + 2
+    # One thread per piece of the blocks, with at least 2 blocks a piece.
+    parts = min(n_threads, os.cpu_count() or 1)
+    parts = parts if m >= 2 * parts else 1
     nu = _degrees(g)
 
     t0 = time.perf_counter()
@@ -161,23 +162,19 @@ def admm_solve(
     # and the eigenvector basis of a Jacobi projection, an identity at first.
     z = np.zeros((k, k, m)).transpose(2, 0, 1)
     u = np.zeros((k, k, m)).transpose(2, 0, 1)
-    basis = None
-    if uses_jacobi(-(-m // n_threads), k):  # the largest split's size
-        basis = np.zeros((k, k, m)).transpose(2, 0, 1)
-        basis[:, range(k), range(k)] = 1.0
-    terms = np.empty((2, m))
+    basis = warm_basis(m, k, parts)
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf
-    with _pool(n_threads) as pool, np.errstate(over="ignore", invalid="ignore"):
+    with _pool(parts) as pool, np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):
-            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu, terms)
+            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu)
             res = residual((x, ell), (x_new, ell_new))
             x, ell = x_new, ell_new
             if not np.isfinite(res):
                 raise SolverDivergence(f"non-finite iterate at iteration {it}")
             model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
-            _project(z, u, basis, pool, n_threads)
+            _project(z, u, basis, pool, parts)
             z -= u
             if collect_trace:
                 obj_trace.append(model._objective_K(x, ell, y, wt))

@@ -14,7 +14,7 @@ import numpy as np
 from relaxtik import fileio, pipeline, synth
 from relaxtik.admm import SolverConfig, SolverDivergence
 from relaxtik.experiments import EXPERIMENT_DEFAULTS, run_experiment
-from relaxtik.graph import Weights, grid_graph, line_graph, read_edge_list, read_vector
+from relaxtik.graph import Weights, grid_graph, line_graph
 
 __all__ = ["main"]
 
@@ -121,7 +121,7 @@ def _float_or_file(spec, length, default):
         return np.full(length, float(spec))
     except (TypeError, ValueError):
         pass
-    vals = read_vector(spec)
+    vals = fileio.read_vector(spec)
     if vals.shape[0] == 1:
         return np.full(length, float(vals[0]))
     if vals.shape[0] != length:
@@ -145,7 +145,7 @@ def _parse_graph(spec, n_vertices):
             )
         return g, None
     if spec.startswith("edgelist:"):
-        g, lam = read_edge_list(spec[len("edgelist:"):], n_vertices)
+        g, lam = fileio.read_edge_list(spec[len("edgelist:"):], n_vertices)
         return g, lam
     raise ValueError(f"unknown graph spec {spec!r}")
 

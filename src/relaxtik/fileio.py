@@ -1,4 +1,5 @@
-"""File formats shared by the CLI: CSV signals, rotation files, PPM, JSON.
+"""File formats shared by the CLI: CSV signals, rotation files, PPM, JSON,
+edge lists and plain vectors.
 
 All floating point values are serialized with 17 significant digits so
 round trips are exact for doubles.  Signal and rotation readers accept
@@ -9,6 +10,8 @@ import json
 
 import numpy as np
 
+from relaxtik.graph import Graph, from_edge_pairs
+
 __all__ = [
     "read_signal_csv",
     "write_signal_csv",
@@ -18,6 +21,9 @@ __all__ = [
     "write_ppm",
     "write_report",
     "read_report",
+    "read_edge_list",
+    "write_edge_list",
+    "read_vector",
 ]
 
 _FMT = "%.17g"
@@ -147,3 +153,48 @@ def write_report(path, report: dict):
 def read_report(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def read_edge_list(path, n_vertices=None):
+    """Read a graph from a text file with one `n m [lambda]` row per line.
+
+    Vertex ids are 1-based.  Returns (graph, edge_weights) where the weights
+    are None when the file has no third column.
+    """
+    rows = []
+    lams = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise ValueError(f"bad edge-list row: {line!r}")
+            rows.append((int(parts[0]), int(parts[1])))
+            if len(parts) == 3:
+                lams.append(float(parts[2]))
+    if lams and len(lams) != len(rows):
+        raise ValueError("edge weights must be given for all edges or none")
+    pairs = np.asarray(rows, dtype=np.int64)
+    if n_vertices is None:
+        n_vertices = int(pairs.max()) if pairs.size else 1
+    g = from_edge_pairs(n_vertices, pairs)
+    lam = np.asarray(lams, dtype=float) if lams else None
+    return g, lam
+
+
+def write_edge_list(path, g: Graph, edge_weights=None):
+    with open(path, "w") as fh:
+        if edge_weights is None:
+            for n, m in g.edges:
+                fh.write(f"{n} {m}\n")
+        else:
+            lam = np.asarray(edge_weights, dtype=float)
+            for (n, m), l in zip(g.edges, lam):
+                fh.write(f"{n} {m} {l:.17g}\n")
+
+
+def read_vector(path) -> np.ndarray:
+    """Read a plain text vector (one value per line), e.g. vertex weights."""
+    return np.atleast_1d(np.loadtxt(path, dtype=float))

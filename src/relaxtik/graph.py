@@ -17,9 +17,6 @@ __all__ = [
     "grid_graph",
     "degree_table",
     "from_edge_pairs",
-    "read_edge_list",
-    "write_edge_list",
-    "read_vector",
 ]
 
 
@@ -159,48 +156,3 @@ class Weights:
             raise ValueError("vertex weight length does not match graph")
         if self.edge_weights.shape[0] != g.m_edges:
             raise ValueError("edge weight length does not match graph")
-
-
-def read_edge_list(path, n_vertices=None):
-    """Read a graph from a text file with one `n m [lambda]` row per line.
-
-    Vertex ids are 1-based.  Returns (graph, edge_weights) where the weights
-    are None when the file has no third column.
-    """
-    rows = []
-    lams = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"bad edge-list row: {line!r}")
-            rows.append((int(parts[0]), int(parts[1])))
-            if len(parts) == 3:
-                lams.append(float(parts[2]))
-    if lams and len(lams) != len(rows):
-        raise ValueError("edge weights must be given for all edges or none")
-    pairs = np.asarray(rows, dtype=np.int64)
-    if n_vertices is None:
-        n_vertices = int(pairs.max()) if pairs.size else 1
-    g = from_edge_pairs(n_vertices, pairs)
-    lam = np.asarray(lams, dtype=float) if lams else None
-    return g, lam
-
-
-def write_edge_list(path, g: Graph, edge_weights=None):
-    with open(path, "w") as fh:
-        if edge_weights is None:
-            for n, m in g.edges:
-                fh.write(f"{n} {m}\n")
-        else:
-            lam = np.asarray(edge_weights, dtype=float)
-            for (n, m), l in zip(g.edges, lam):
-                fh.write(f"{n} {m} {l:.17g}\n")
-
-
-def read_vector(path) -> np.ndarray:
-    """Read a plain text vector (one value per line), e.g. vertex weights."""
-    return np.atleast_1d(np.loadtxt(path, dtype=float))

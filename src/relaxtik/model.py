@@ -73,7 +73,7 @@ def apply_Q(x, ell, g: Graph, add_to=None) -> np.ndarray:
     return q
 
 
-def adjoint_Q(u, g: Graph, d=None, terms=None):
+def adjoint_Q(u, g: Graph, d=None):
     """Adjoint of the shifted-block operator, split by component space.
 
     Returns (x_part, ell_part) where for vertex n and component i
@@ -82,8 +82,7 @@ def adjoint_Q(u, g: Graph, d=None, terms=None):
                      + sum over edges with n second of U[i, d+1] + U[d+1, i]
 
     and ell_part[e] = U[d, d+1] + U[d+1, d].  (0-based entries; the -I shift
-    contributes nothing because it vanishes on these positions.)  terms,
-    a C-contiguous (2, M) float array, is scratch; without it one is made.
+    contributes nothing because it vanishes on these positions.)
     """
     u = np.asarray(u, dtype=float)
     d = u.shape[-1] - 2 if d is None and u.ndim == 3 else d
@@ -91,8 +90,7 @@ def adjoint_Q(u, g: Graph, d=None, terms=None):
         raise ValueError("block field must be (M, d+2, d+2)")
     # Per component, one bincount over the first-slot terms followed by the
     # second-slot terms: each vertex sums its terms in edge order.
-    terms = np.empty((2, len(u))) if terms is None else terms
-    x_part = np.empty((g.n_vertices, d))
+    terms, x_part = np.empty((2, len(u))), np.empty((g.n_vertices, d))
     for i in range(d):
         np.add(u[:, i, d], u[:, d, i], out=terms[0])
         np.add(u[:, i, d + 1], u[:, d + 1, i], out=terms[1])

@@ -33,9 +33,6 @@ Jacobi ties at k = 6 and loses above.  The 90x90 circle grid (16,020
 blocks, k = 4) takes the Jacobi path; 1000-rotation SO(3) lines (999
 blocks, k = 6) and short lines do not.
 
-The table times cold starts; `relaxtik.jacobi` has the warm-started
-ones, which leave the dispatch as it is.
-
 The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
     P = A + G G^T,   G = V_below sqrt(-1 - lambda_below),
@@ -48,7 +45,7 @@ g_j g_i at (j, i), which are the same float, so P is exactly symmetric.
 
 import numpy as np
 
-__all__ = ["project_shifted_psd", "uses_jacobi"]
+__all__ = ["project_shifted_psd", "warm_basis"]
 
 MAX_DIM = 12
 # Dispatch to Jacobi, from the crossover table above.
@@ -59,9 +56,17 @@ JACOBI_MIN_BLOCKS = 2048
 CHUNK = 8192
 
 
-def uses_jacobi(m: int, k: int) -> bool:
-    """Whether a batch of m blocks of side k is diagonalized by Jacobi."""
+def _uses_jacobi(m: int, k: int) -> bool:
     return k <= JACOBI_MAX_DIM and m >= JACOBI_MIN_BLOCKS
+
+
+def warm_basis(m: int, k: int, parts: int = 1) -> np.ndarray | None:
+    """An identity `basis` for m blocks of side k, stored (k, k, m), or None
+    when none of the `parts` np.array_split pieces of the blocks would be
+    projected on the Jacobi path and use it."""
+    if _uses_jacobi(-(-m // parts), k):  # the largest piece
+        return np.eye(k)[:, :, None].repeat(m, axis=2).transpose(2, 0, 1)
+    return None
 
 
 def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
@@ -88,11 +93,11 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
     # Checked on the input: eigh can return finite eigenvalues for a NaN entry.
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    for name, b in (("out", out), ("basis", basis)):
-        if b is not None and (getattr(b, "shape", None) != a.shape or b.dtype != float):
-            raise ValueError(f"{name} must be a float array of the input's shape")
+    for b in (out, basis):
+        if b is not None and (b.shape != a.shape or b.dtype != float):
+            raise ValueError("out and basis must be float arrays of the input's shape")
     batch = a.reshape(-1, k, k)
-    jacobi = uses_jacobi(len(batch), k)
+    jacobi = _uses_jacobi(len(batch), k)
     if jacobi:
         from relaxtik.jacobi import eig  # compiled only where it runs
     p = np.empty_like(batch) if out is None else out.reshape(batch.shape)

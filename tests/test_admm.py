@@ -212,9 +212,11 @@ def test_projection_reuses_its_buffers(monkeypatch):
     assert basis not in (blocks, out) and basis_stride == 8
 
 
-def test_threaded_jacobi_solve_matches_one_thread():
+def test_threaded_jacobi_solve_matches_one_thread(monkeypatch):
     # 46x46 grid: 4140 blocks of side 4, so each half of a 2-thread split
-    # still takes the Jacobi path.
+    # still takes the Jacobi path, warm-started from its half of the basis.
+    # Two CPUs, so that the split runs on any host.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     g = grid_graph(46, 46)
     assert g.m_edges // 2 >= smallsym.JACOBI_MIN_BLOCKS
     rng = np.random.default_rng(6)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from relaxtik.fileio import read_edge_list, write_edge_list
 from relaxtik.graph import (
     Graph,
     Weights,
@@ -10,8 +11,6 @@ from relaxtik.graph import (
     from_edge_pairs,
     grid_graph,
     line_graph,
-    read_edge_list,
-    write_edge_list,
 )
 
 

@@ -94,18 +94,6 @@ def test_adjoint_and_apply_Q_on_block_axis_fastest_fields():
         assert np.array_equal(ut, apply_Q(x, ell, g, add_to=u))
 
 
-def test_adjoint_Q_into_reused_scratch_is_bit_identical():
-    # the ADMM loop passes one (2, M) scratch array to every call
-    rng = np.random.default_rng(5)
-    g = from_edge_pairs(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5], [2, 4]])
-    terms = np.full((2, g.m_edges), np.nan)
-    for d in (2, 3, 4):
-        u = rng.standard_normal((g.m_edges, d + 2, d + 2))
-        for _ in range(2):
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(adjoint_Q(u, g, terms=terms), adjoint_Q(u, g)))
-
-
 def test_normal_equations_diagonal():
     rng = np.random.default_rng(3)
     g = from_edge_pairs(6, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6], [2, 5]])

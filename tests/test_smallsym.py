@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relaxtik import jacobi, smallsym
-from relaxtik.smallsym import project_shifted_psd
+from relaxtik.smallsym import project_shifted_psd, warm_basis
 
 
 def symmetrize(a):
@@ -279,8 +279,7 @@ def test_projection_into_out_over_several_chunks(monkeypatch, k, sweeps):
 
 def test_projection_rejects_an_out_that_does_not_fit():
     a = np.zeros((4, 3, 3))
-    for bad in (np.zeros((4, 3, 4)), np.zeros((3, 3)), np.zeros((4, 3, 3), dtype=np.float32),
-                [[[0.0] * 3] * 3] * 4):
+    for bad in (np.zeros((4, 3, 4)), np.zeros((3, 3)), np.zeros((4, 3, 3), dtype=np.float32)):
         for name in ("out", "basis"):
             with pytest.raises(ValueError):
                 project_shifted_psd(a, **{name: bad})
@@ -316,6 +315,16 @@ class SweepCounter:
             rotating += 1
         self.counts.append(rotating)
         return converged
+
+
+def test_warm_basis_is_made_for_the_jacobi_path_only():
+    n = smallsym.JACOBI_MIN_BLOCKS
+    basis = warm_basis(n, 4)
+    assert np.array_equal(basis, identity_basis(n, 4)) and basis.strides[0] == 8
+    assert warm_basis(n - 1, 4) is None and warm_basis(n, 6) is None
+    # split in two: pieces of n and n - 1 blocks, then of n - 1 each
+    assert warm_basis(2 * n - 1, 4, parts=2).shape == (2 * n - 1, 4, 4)
+    assert warm_basis(2 * n - 2, 4, parts=2) is None
 
 
 @pytest.mark.parametrize("k", range(2, 6))
