@@ -17,13 +17,12 @@ modified Gram-Schmidt pass, so rounding does not pile up over thousands
 of iterations), the block is rotated into it, W = V^T S V, and the sweeps
 go on from there: a nearly diagonal W converges quadratically (Golub and
 Van Loan, Matrix Computations, 8.5).  On a 90x90 circle-grid solve this
-cut the rotating sweeps per chunk from 5 to a mean of 2.6.  In a
-1000-rotation so3-line solve (k = 6, M = 999, on eigh by the dispatch in
-`smallsym`) warm Jacobi took 7.2 ms per iteration against eigh's 8.9 and
-cold Jacobi's 12.3 (medians over 7 seeds, one thread, 2-vCPU VM).  The
-dispatch is kept: the so3 CLI request, which runs these blocks, has not
-been measured with the crossover moved.
+cut the rotating sweeps per chunk from 5 to a mean of 2.6, and it is
+what puts 1000-rotation so3 lines (k = 6, M = 999) on this path: see
+the warm crossover table in `smallsym`.
 """
+
+import functools
 
 import numpy as np
 
@@ -98,11 +97,10 @@ def _sweeps(w: np.ndarray, vt: np.ndarray) -> np.ndarray:
     k, _, m = w.shape
     t, c, s, h, dp, dq = (np.empty(m) for _ in range(6))
     bx, by = np.empty((k, m)), np.empty((k, m))
-    pairs = [(p, q) for p in range(k - 1) for q in range(p + 1, k)]
-    rest = {pq: _rest(k, *pq) for pq in pairs}
+    pairs = _pairs(k)
     for _ in range(MAX_SWEEPS):
         rotated = False
-        for p, q in pairs:
+        for p, q, r in pairs:
             apq = w[p, q]
             np.abs(apq, out=h)
             if h.max() <= TOL:
@@ -132,7 +130,6 @@ def _sweeps(w: np.ndarray, vt: np.ndarray) -> np.ndarray:
             np.add(aqq, t, out=dq)
             # Rows p and q rotate, columns p and q mirror them, and the
             # 2x2 pivot block takes its closed form.
-            r = rest[p, q]
             x, y = w[p, r], w[q, r]
             _rotate(x, y, c, s, bx[: len(x)], by[: len(x)])
             w[r, p] = x
@@ -144,17 +141,23 @@ def _sweeps(w: np.ndarray, vt: np.ndarray) -> np.ndarray:
             _rotate(vt[p], vt[q], c, s, bx, by)
         if not rotated:
             return np.ones(m, dtype=bool)
-    off = np.abs(np.stack([w[p, q] for p, q in pairs])).max(axis=0)
+    off = np.abs(np.stack([w[p, q] for p, q, _ in pairs])).max(axis=0)
     return off <= TOL
 
 
-def _rest(k: int, p: int, q: int) -> slice:
-    """A slice of the indices other than p and q, or of all k where those
-    are not evenly spaced; the pivot entries are overwritten either way."""
-    rest = [i for i in range(k) if i not in (p, q)]
-    step = rest[1] - rest[0] if len(rest) > 1 else 1
-    span = slice(rest[0], rest[-1] + 1, step) if rest else slice(0, 0)
-    return span if list(range(k))[span] == rest else slice(None)
+@functools.cache
+def _pairs(k: int) -> tuple:
+    """The cyclic order of the pivots (p, q) of a side-k block, each with
+    a slice of the indices other than p and q, or of all k where those are
+    not evenly spaced; the pivot entries are overwritten either way."""
+    table = []
+    for p in range(k - 1):
+        for q in range(p + 1, k):
+            rest = [i for i in range(k) if i not in (p, q)]
+            step = rest[1] - rest[0] if len(rest) > 1 else 1
+            span = slice(rest[0], rest[-1] + 1, step) if rest else slice(0, 0)
+            table.append((p, q, span if list(range(k))[span] == rest else slice(None)))
+    return tuple(table)
 
 
 def _rotate(x, y, c, s, bx, by):

@@ -9,7 +9,7 @@ blocks at a time: the symmetric part of a chunk is gathered into its
 slice of the result, seen as (k, k, m), diagonalized and rebuilt there
 as a clipped block.  The batch's shape (M, k) picks the eigensolver:
 
-- M >= JACOBI_MIN_BLOCKS (2048) and k <= JACOBI_MAX_DIM (5): cyclic
+- M >= JACOBI_MIN_BLOCKS (768) and k <= JACOBI_MAX_DIM (6): cyclic
   Jacobi (`relaxtik.jacobi`), each rotation a few contiguous 1-D ufunc
   calls over all blocks of the chunk.  A block it leaves unconverged
   goes to LAPACK instead.
@@ -17,21 +17,23 @@ as a clipped block.  The batch's shape (M, k) picks the eigensolver:
   blocks this small its cost is mostly per-matrix overhead, which
   Jacobi's shared ufunc calls amortize only over large batches.
 
-Crossover, ms per projection of M random symmetric blocks, Jacobi / eigh
-(median of 9 interleaved runs, one thread, loaded 2-vCPU VM):
+The ADMM loop warm-starts Jacobi from the previous iteration's
+eigenvectors, so the crossover is set from warm solves: ms per ADMM
+iteration on a line graph of M blocks, Jacobi / eigh (medians of 14
+seeds in interleaved runs, one thread, loaded 2-vCPU VM; circle and S^2
+lines for k = 4 and 5, so3 lines for k = 6):
 
-    k   M = 250     M = 500     M = 1000    M = 2000    M = 4000    M = 16000
-    2   0.09/0.18   0.10/0.31   0.13/0.61   0.29/1.8    0.62/4.5    3.1/19
-    3   0.46/0.46   0.54/0.82   0.78/1.6    1.8/5.4     2.6/10      12/48
-    4   1.8/1.2     2.1/2.3     1.9/2.4     2.8/4.9     5.4/10      27/66
-    5   3.3/1.7     4.1/3.1     5.5/6.0     9.4/13      17/25       61/100
-    6   3.4/1.4     5.3/3.5     8.4/7.1     13/13       29/28       110/110
-    7   5.6/2.0     7.0/3.5     14/11       48/41       47/44       190/200
-    8   11/3.3      10/4.6      23/15       34/21       67/44       270/170
+    k   M = 255     M = 511     M = 767     M = 999     M = 1999
+    4   0.75/0.75   0.95/1.44   1.18/2.32   1.35/3.10   2.66/6.98
+    5   1.39/1.00   1.86/1.90   2.41/3.08   2.88/3.85   5.11/8.33
+    6   3.24/1.93   3.79/2.92   5.11/5.05   6.33/6.74   10.2/13.6
 
-Jacobi ties at k = 6 and loses above.  The 90x90 circle grid (16,020
-blocks, k = 4) takes the Jacobi path; 1000-rotation SO(3) lines (999
-blocks, k = 6) and short lines do not.
+Jacobi ties at k = 6 near M = 768 and wins above.  The 90x90 circle grid
+(16,020 blocks, k = 4) and 1000-rotation SO(3) lines (999 blocks, k = 6)
+take the Jacobi path; short lines (at most 767 blocks) and k >= 7 do
+not.  A one-off call starts cold, from the identity, and cold Jacobi is
+slower: at k = 6 and M = 1000 one projection took 8.4 ms against
+eigh's 7.1.
 
 The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
@@ -48,9 +50,9 @@ import numpy as np
 __all__ = ["project_shifted_psd", "warm_basis"]
 
 MAX_DIM = 12
-# Dispatch to Jacobi, from the crossover table above.
-JACOBI_MAX_DIM = 5
-JACOBI_MIN_BLOCKS = 2048
+# Dispatch to Jacobi, from the warm crossover table above.
+JACOBI_MAX_DIM = 6
+JACOBI_MIN_BLOCKS = 768
 # Blocks per chunk: faster than one pass over the 90x90 grid's 16,020
 # blocks, and it bounds the work arrays' size.
 CHUNK = 8192

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from relaxtik import admm, model, smallsym, synth
+from relaxtik import admm, model, pipeline, smallsym, synth
 from relaxtik.admm import SolverConfig, SolverDivergence, admm_solve, primal_update
 from relaxtik.graph import Weights, from_edge_pairs, grid_graph, line_graph
 from relaxtik.model import apply_Q, objective_K
@@ -251,6 +251,39 @@ def test_jacobi_projection_gives_the_eigen_clip_solve(monkeypatch):
     assert jacobi.iterations == oracle.iterations < cfg.max_iter
     assert np.abs(jacobi.x - oracle.x).max() <= 1e-12
     assert np.abs(jacobi.ell - oracle.ell).max() <= 1e-12
+
+
+def test_so3_line_solve_projects_warm_on_the_jacobi_path(monkeypatch):
+    # 800 rotations: 799 blocks of side 6, above the dispatch size, so every
+    # iteration projects on the Jacobi path from the one basis.  The same
+    # solve with the dispatch size raised above it runs on eigh alone.
+    n = 800
+    g = line_graph(n)
+    assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS
+    rng = np.random.default_rng(7)
+    rots = synth.perturb_so3_signal(synth.smooth_so3_signal(n, rng),
+                                    synth.So3NoiseParams(30.0, 15.0), rng)
+    y, _ = pipeline.to_sphere("so3", rots, g)
+    wt = Weights.constant(g, 1.0, 50.0)
+    cfg = SolverConfig(rho=3.0, max_iter=300, tol=1e-4)
+    bases = []
+
+    def recorded(blocks, out, basis=None):
+        bases.append(basis if basis is None else basis.__array_interface__["data"][0])
+        return project(blocks, out=out, basis=basis)
+
+    project = admm.project_shifted_psd
+    monkeypatch.setattr(admm, "project_shifted_psd", recorded)
+    warm = admm_solve(y, g, wt, cfg)
+    assert len(bases) == warm.iterations < cfg.max_iter
+    assert None not in bases and len(set(bases)) == 1
+    bases.clear()
+    monkeypatch.setattr(smallsym, "JACOBI_MIN_BLOCKS", g.m_edges + 1)
+    on_eigh = admm_solve(y, g, wt, cfg)
+    assert bases == [None] * on_eigh.iterations
+    assert on_eigh.iterations == warm.iterations
+    assert np.abs(on_eigh.x - warm.x).max() <= 1e-12
+    assert np.abs(on_eigh.ell - warm.ell).max() <= 1e-12
 
 
 def test_traced_loop_checks_its_inputs_once(monkeypatch):

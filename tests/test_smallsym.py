@@ -178,7 +178,7 @@ def test_projection_of_batches_mixing_every_rank(path, k, on_path):
         assert_projection_conditions(batch, p)
 
 
-@pytest.mark.parametrize("k", [2, 4, 5])
+@pytest.mark.parametrize("k", [2, 4, 5, 6])
 def test_jacobi_path_takes_extreme_blocks_without_warnings(k):
     rng = np.random.default_rng(300 + k)
     n = smallsym.JACOBI_MIN_BLOCKS
@@ -204,22 +204,26 @@ def test_jacobi_path_takes_extreme_blocks_without_warnings(k):
 
 def test_batch_shape_picks_the_eigensolver(monkeypatch):
     rng = np.random.default_rng(11)
-    grid_circle = random_sym(rng, 4, batch=16020)  # the 90x90 grid's blocks
-    expected = eigen_clip(grid_circle)
+    n = smallsym.JACOBI_MIN_BLOCKS
+    # the 90x90 grid's blocks and a 1000-rotation SO(3) line's take Jacobi
+    on_jacobi = [random_sym(rng, 4, batch=16020), random_sym(rng, 6, batch=999)]
+    expected = [eigen_clip(a) for a in on_jacobi]
     counter = EighCounter(monkeypatch)
-    p = project_shifted_psd(grid_circle)
-    assert counter.calls == 0
-    assert np.abs(p - expected).max() < 1e-12
-    assert np.array_equal(p, p.swapaxes(-1, -2))
-    # a short line, a 1000-rotation SO(3) line, and blocks above k = 5
-    for a in (random_sym(rng, 4, batch=255), random_sym(rng, 6, batch=999),
-              random_sym(rng, 6, batch=4096)):
+    for a, clip in zip(on_jacobi, expected):
+        p = project_shifted_psd(a)
+        assert counter.calls == 0
+        assert np.abs(p - clip).max() < 1e-12
+        assert np.array_equal(p, p.swapaxes(-1, -2))
+    # a short line, an SO(3) line just below the dispatch size, and blocks
+    # above k = 6
+    for a in (random_sym(rng, 4, batch=255), random_sym(rng, 6, batch=n - 1),
+              random_sym(rng, 7, batch=4096)):
         calls = counter.calls
         project_shifted_psd(a)
         assert counter.calls == calls + 1
     # one call per chunk
     calls = counter.calls
-    project_shifted_psd(random_sym(rng, 6, batch=smallsym.CHUNK + 1))
+    project_shifted_psd(random_sym(rng, 7, batch=smallsym.CHUNK + 1))
     assert counter.calls == calls + 2
 
 
@@ -264,10 +268,10 @@ def test_projection_into_out_equals_the_returned_one(path, k, in_layout, out_lay
 
 
 @pytest.mark.parametrize("sweeps", [jacobi.MAX_SWEEPS, 1])
-@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("k", [4, 6, 7])
 def test_projection_into_out_over_several_chunks(monkeypatch, k, sweeps):
-    # k = 4 runs on Jacobi, with every block converged or, after one sweep,
-    # most of them left to eigh; k = 6 runs on eigh.
+    # k = 4 and 6 run on Jacobi, with every block converged or, after one
+    # sweep, most of them left to eigh; k = 7 runs on eigh.
     monkeypatch.setattr(jacobi, "MAX_SWEEPS", sweeps)
     rng = np.random.default_rng(500 + k)
     a = block_axis_fastest(random_sym(rng, k, batch=smallsym.CHUNK + smallsym.JACOBI_MIN_BLOCKS))
@@ -319,15 +323,17 @@ class SweepCounter:
 
 def test_warm_basis_is_made_for_the_jacobi_path_only():
     n = smallsym.JACOBI_MIN_BLOCKS
-    basis = warm_basis(n, 4)
-    assert np.array_equal(basis, identity_basis(n, 4)) and basis.strides[0] == 8
-    assert warm_basis(n - 1, 4) is None and warm_basis(n, 6) is None
-    # split in two: pieces of n and n - 1 blocks, then of n - 1 each
-    assert warm_basis(2 * n - 1, 4, parts=2).shape == (2 * n - 1, 4, 4)
-    assert warm_basis(2 * n - 2, 4, parts=2) is None
+    for k in (4, 6):
+        basis = warm_basis(n, k)
+        assert np.array_equal(basis, identity_basis(n, k)) and basis.strides[0] == 8
+        assert warm_basis(n - 1, k) is None
+        # split in two: pieces of n and n - 1 blocks, then of n - 1 each
+        assert warm_basis(2 * n - 1, k, parts=2).shape == (2 * n - 1, k, k)
+        assert warm_basis(2 * n - 2, k, parts=2) is None
+    assert warm_basis(n, 7) is None
 
 
-@pytest.mark.parametrize("k", range(2, 6))
+@pytest.mark.parametrize("k", range(2, 7))
 def test_warm_started_jacobi_projection_matches_the_cold_one(k):
     # The basis a projection leaves is orthonormal and starts the next one,
     # here of a slightly changed batch; so does a basis perturbed off
@@ -350,18 +356,20 @@ def test_warm_started_jacobi_projection_matches_the_cold_one(k):
     assert orthonormality_error(basis) <= 1e-14
 
 
-@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("k", [4, 6, 7])
 def test_eigh_path_neither_reads_nor_writes_the_basis(k):
-    # a short batch of side 4 and a large one of side 6 both run on eigh
+    # a short batch of side 4, one of side 6 just below the dispatch size
+    # and a large one of side 7 all run on eigh
     rng = np.random.default_rng(700 + k)
-    a = random_sym(rng, k, batch=255 if k == 4 else smallsym.JACOBI_MIN_BLOCKS)
+    n = smallsym.JACOBI_MIN_BLOCKS
+    a = random_sym(rng, k, batch={4: 255, 6: n - 1, 7: n}[k])
     basis = rng.standard_normal(a.shape)
     before = basis.copy()
     assert np.array_equal(project_shifted_psd(a, basis=basis), project_shifted_psd(a))
     assert np.array_equal(basis, before)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_warm_start_cuts_the_rotating_sweeps(monkeypatch, k):
     # A cold start takes 4 to 6 rotating sweeps; a projection of a slightly
     # changed batch, warm-started from the first one's basis, at most 3.
