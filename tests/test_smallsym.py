@@ -204,7 +204,6 @@ def test_jacobi_path_takes_extreme_blocks_without_warnings(k):
 
 def test_batch_shape_picks_the_eigensolver(monkeypatch):
     rng = np.random.default_rng(11)
-    n = smallsym.JACOBI_MIN_BLOCKS
     # the 90x90 grid's blocks and a 1000-rotation SO(3) line's take Jacobi
     on_jacobi = [random_sym(rng, 4, batch=16020), random_sym(rng, 6, batch=999)]
     expected = [eigen_clip(a) for a in on_jacobi]
@@ -216,7 +215,8 @@ def test_batch_shape_picks_the_eigensolver(monkeypatch):
         assert np.array_equal(p, p.swapaxes(-1, -2))
     # a short line, an SO(3) line just below the dispatch size, and blocks
     # above k = 6
-    for a in (random_sym(rng, 4, batch=255), random_sym(rng, 6, batch=n - 1),
+    for a in (random_sym(rng, 4, batch=255),
+              random_sym(rng, 6, batch=smallsym.JACOBI_MIN_BLOCKS - 1),
               random_sym(rng, 7, batch=4096)):
         calls = counter.calls
         project_shifted_psd(a)
