@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from relaxtik import fileio, pipeline, synth
+from relaxtik import fileio, pipeline
 from relaxtik.admm import SolverConfig, SolverDivergence
 from relaxtik.experiments import EXPERIMENT_DEFAULTS, run_experiment
 from relaxtik.graph import Weights, grid_graph, line_graph
@@ -264,6 +264,8 @@ def _cmd_experiment(args):
 
 
 def _cmd_eval(args):
+    from relaxtik import synth  # off the import path of the other commands
+
     x = fileio.read_signal_csv(args.result)
     t = fileio.read_signal_csv(args.truth)
     if x.shape != t.shape:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relaxtik import pipeline, synth
+from relaxtik import pipeline
 from relaxtik.admm import DenoiseResult, SolverConfig
 from relaxtik.graph import Weights, grid_graph, line_graph
 from relaxtik.manifold import rotation_to_quat
@@ -127,6 +127,9 @@ def run_experiment(
     the ground-truth generator and the noise.  so3 truth quaternions take
     the sign of the denoised row, since both signs name the same rotation.
     """
+    # Imported here: the CLI imports this module for its registry alone.
+    from relaxtik import synth
+
     if name not in EXPERIMENT_DEFAULTS:
         known = ", ".join(sorted(EXPERIMENT_DEFAULTS))
         raise ValueError(f"unknown experiment {name!r} (known: {known})")

@@ -14,7 +14,7 @@ model, and mapped back:
 
 import numpy as np
 
-from relaxtik import admm, synth
+from relaxtik import admm
 from relaxtik.manifold import lift_signs, quat_to_rotation, rotation_to_quat
 
 __all__ = ["KINDS", "to_sphere", "from_sphere", "solve"]
@@ -30,6 +30,8 @@ def to_sphere(kind: str, data, g=None):
     """
     if kind == "sphere":
         return np.asarray(data, dtype=float), None
+    if kind in ("hue", "chroma"):
+        from relaxtik import synth  # off the import path of so3 and sphere data
     if kind == "hue":
         hue, sat, val, _ = synth.rgb_to_hsv(data)
         return hue.reshape(-1, 2), (sat, val)
@@ -44,6 +46,8 @@ def to_sphere(kind: str, data, g=None):
 
 def from_sphere(kind: str, unit, ctx):
     """The image, the rotation stack, or the rows of a unit sphere signal."""
+    if kind in ("hue", "chroma"):
+        from relaxtik import synth
     if kind == "hue":
         sat, val = ctx
         return synth.hue_to_rgb(unit.reshape(*sat.shape, 2), sat, val)

@@ -18,31 +18,39 @@ as a clipped block.  The batch's shape (M, k) picks the eigensolver:
   Jacobi's shared ufunc calls amortize only over large batches.
 
 The ADMM loop warm-starts Jacobi from the previous iteration's
-eigenvectors, so the crossover is set from warm solves: ms per ADMM
-iteration on a line graph of M blocks, Jacobi / eigh (medians of 14
+eigenvectors, and Jacobi diagonalizes only the part of each block that
+the clip changes, so the crossover is set from warm solves: CPU ms per
+ADMM iteration on a line graph of M blocks, Jacobi / eigh (medians of 14
 seeds in interleaved runs, one thread, loaded 2-vCPU VM; circle and S^2
 lines for k = 4 and 5, so3 lines for k = 6):
 
     k   M = 255     M = 511     M = 767     M = 999     M = 1999
-    4   0.75/0.75   0.95/1.44   1.18/2.32   1.35/3.10   2.66/6.98
-    5   1.39/1.00   1.86/1.90   2.41/3.08   2.88/3.85   5.11/8.33
-    6   3.24/1.93   3.79/2.92   5.11/5.05   6.33/6.74   10.2/13.6
+    4   1.48/1.40   1.79/2.52   1.93/3.88   2.16/4.79   3.06/8.83
+    5   2.17/1.74   2.65/3.45   3.24/4.90   3.68/6.29   5.67/12.1
+    6   3.11/2.21   3.61/4.25   4.64/6.00   5.23/7.45   8.51/16.6
 
-Jacobi ties at k = 6 near M = 768 and wins above.  The 90x90 circle grid
-(16,020 blocks, k = 4) and 1000-rotation SO(3) lines (999 blocks, k = 6)
-take the Jacobi path; short lines (at most 767 blocks) and k >= 7 do
-not.  A one-off call starts cold, from the identity, and cold Jacobi is
-slower: at k = 6 and M = 1000 one projection took 8.4 ms against
-eigh's 7.1.
+Jacobi wins from M = 511 on at every k <= 6 and loses or ties at 255;
+the threshold stays at 768, since no benchmarked input has 256 to 767
+blocks.  The 90x90 circle grid (16,020 blocks, k = 4) and 1000-rotation
+SO(3) lines (999 blocks, k = 6) take the Jacobi path; short lines (at
+most 767 blocks) and k >= 7 do not.  A one-off call starts cold, from
+the identity, and cold Jacobi is slower: at k = 6 and M = 1000 one
+projection took 8.4 ms against eigh's 7.1 (measured before the split).
 
 The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
     P = A + G G^T,   G = V_below sqrt(-1 - lambda_below),
 
-one outer product per eigenvector column that is below -1 in some block
-(Jacobi leaves the eigenvalues unsorted); columns a block does not need
-get a zero weight.  An outer product g g^T holds g_i g_j at (i, j) and
-g_j g_i at (j, i), which are the same float, so P is exactly symmetric.
+one outer product per eigenvector column that is below -1 in some block;
+columns a block does not need get a zero weight.  Both eigensolvers put
+each block's eigenpairs below -1 in its leading columns (LAPACK sorts
+ascending, and `jacobi.eig` permutes them there), so the sum stops at
+the first column that no block needs.  Jacobi may leave the other
+columns only an orthonormal basis of the rest of a block, whose Rayleigh
+matrix it has certified >= -1 (its split path): the clip leaves that part
+as it is, so P is the same.  An outer product g g^T holds g_i g_j at
+(i, j) and g_j g_i at (j, i), which are the same float, so P is exactly
+symmetric.
 """
 
 import numpy as np
@@ -124,7 +132,7 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
         for col in range(k):
             np.subtract(-1.0, lam[col], out=h)
             if h.max() <= 0.0:
-                continue
+                break
             np.maximum(h, 0.0, out=h)
             np.sqrt(h, out=h)
             np.multiply(vt[col], h, out=g)

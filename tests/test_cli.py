@@ -34,8 +34,9 @@ def test_experiment_registry_names():
 
 def test_startup_leaves_the_kernel_and_verifier_unimported():
     # Every module imported at startup is compiled when no bytecode is cached.
-    code = ("import sys, relaxtik, relaxtik.cli; "
-            "print(sorted({'relaxtik.jacobi', 'relaxtik.verify'} & set(sys.modules)))")
+    # The synthetic-data generators serve experiments, eval and color data.
+    code = ("import sys, relaxtik, relaxtik.cli; print(sorted("
+            "{'relaxtik.jacobi', 'relaxtik.verify', 'relaxtik.synth'} & set(sys.modules)))")
     src = os.path.dirname(os.path.dirname(relaxtik.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -300,25 +300,39 @@ def orthonormality_error(basis):
 
 
 class SweepCounter:
-    """jacobi._sweeps run one sweep at a time, recording for each call how
-    many sweeps rotated some block; the result is the same."""
+    """jacobi's per-sweep helper, recording for each eigensolver call the
+    pivot table of every sweep and how many of its pivots were rotated;
+    the result is the same."""
 
     def __init__(self, monkeypatch):
-        self.counts = []
-        self.sweeps, self.max_sweeps = jacobi._sweeps, jacobi.MAX_SWEEPS
-        monkeypatch.setattr(jacobi, "_sweeps", self)
-        monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1)
+        self.calls = []
+        sweeps, sweep = jacobi._sweeps, jacobi._sweep
 
-    def __call__(self, w, vt):
-        rotating = 0
-        for _ in range(self.max_sweeps):
-            before = w.copy()
-            converged = self.sweeps(w, vt)
-            if np.array_equal(w, before):
-                break
-            rotating += 1
-        self.counts.append(rotating)
-        return converged
+        def counted_sweeps(*args):
+            self.calls.append([])
+            return sweeps(*args)
+
+        def counted_sweep(w, vt, pairs, scratch):
+            rotated = sweep(w, vt, pairs, scratch)
+            self.calls[-1].append((pairs, rotated))
+            return rotated
+
+        monkeypatch.setattr(jacobi, "_sweeps", counted_sweeps)
+        monkeypatch.setattr(jacobi, "_sweep", counted_sweep)
+
+    @property
+    def counts(self):
+        """The sweeps of each call that rotated some pivot."""
+        return [sum(rotated > 0 for _, rotated in call) for call in self.calls]
+
+    @property
+    def pivots(self):
+        """The pivots each call rotated."""
+        return [sum(rotated for _, rotated in call) for call in self.calls]
+
+    def after_the_first_sweep(self, call):
+        """The pivots (p, q) of every table that call passed after its first."""
+        return {(p, q) for pairs, _ in self.calls[call][1:] for p, q, _ in pairs}
 
 
 def test_warm_basis_is_made_for_the_jacobi_path_only():
@@ -388,4 +402,85 @@ def test_warm_start_cuts_the_rotating_sweeps(monkeypatch, k):
     assert np.array_equal(two_projections(), plain)
     assert len(counter.counts) == 2
     assert counter.counts[0] >= 4 and counter.counts[1] <= 3
+    assert counter.pivots[1] < counter.pivots[0]
     assert np.abs(plain - eigen_clip(b)).max() < 1e-12
+
+
+def leading_pivots(k, nb):
+    """The pivots (p, q) of a side-k block with p < nb."""
+    return {(p, q) for p, q, _ in jacobi._pairs(k) if p < nb}
+
+
+def assert_clip_with_orthonormal_basis(a, p, basis):
+    assert np.abs(p - eigen_clip(a)).max() < 1e-12
+    assert np.array_equal(p, p.swapaxes(-1, -2))
+    assert orthonormality_error(basis) <= 1e-14
+
+
+@pytest.mark.parametrize("k, n_below", [(4, 1), (6, 2)])
+def test_warm_projection_rotates_only_the_leading_pivots(monkeypatch, k, n_below):
+    # Every block has n_below eigenvalues below -1, as at a tight solution
+    # (1 on a circle grid, 2 on an so3 line).  The first projection leaves
+    # them in the leading slots of the basis; after the first sweep of the
+    # warm second one only pivots (p, q) with p < n_below rotate, and the
+    # trailing part is certified, on Jacobi alone.
+    rng = np.random.default_rng(900 + k)
+    n = smallsym.JACOBI_MIN_BLOCKS
+    a = np.stack([blocks_with_spectrum(rng, k, n_below) for _ in range(n)])
+    b = a + 1e-3 * random_sym(rng, k, batch=n)
+    basis = identity_basis(n, k)
+    assert_clip_with_orthonormal_basis(a, project_shifted_psd(a, basis=basis), basis)
+    counter, eigh = SweepCounter(monkeypatch), EighCounter(monkeypatch)
+    proj = project_shifted_psd(b, basis=basis)
+    assert eigh.calls == 0
+    assert counter.after_the_first_sweep(0) == leading_pivots(k, n_below)
+    assert_clip_with_orthonormal_basis(b, proj, basis)
+
+
+@pytest.mark.parametrize("hidden", [False, True], ids=["just-above", "hidden-below"])
+def test_a_block_failing_the_certificate_sends_its_chunk_to_the_full_pivot_set(monkeypatch, hidden):
+    # Every block is -3 in its leading slot, uncoupled from a 3x3 rest.
+    # just-above: the rest has an eigenvalue of -0.999, in a random basis.
+    # hidden-below: the rest is one matrix with an eigenvalue of -1.001 whose
+    # diagonal stays above -1 through the first sweep.  Either way that sweep
+    # leaves the leading slot the only one below -1, the coupling left in the
+    # rest fails the certificate, and the chunk goes on with all pivots,
+    # which alone clip the hidden eigenvalue; LAPACK is not called.
+    rng = np.random.default_rng(950)
+    n, k = smallsym.JACOBI_MIN_BLOCKS, 4
+    a = np.zeros((n, k, k))
+    a[:, 0, 0] = -3.0
+    rest = np.array([[-0.342, -0.714, -0.352], [-0.714, 0.011, 0.642], [-0.352, 0.642, -0.528]])
+    assert -1.01 < np.linalg.eigvalsh(rest)[0] < -1.0
+    for block in a:
+        if not hidden:
+            v, _ = np.linalg.qr(rng.standard_normal((k - 1, k - 1)))
+            rest = symmetrize((v * [-0.999, 1.0, 2.0]) @ v.T)
+        block[1:, 1:] = rest
+    basis = identity_basis(n, k)
+    counter, eigh = SweepCounter(monkeypatch), EighCounter(monkeypatch)
+    proj = project_shifted_psd(a, basis=basis)
+    assert eigh.calls == 0
+    sweeps = [pairs for pairs, _ in counter.calls[0]]
+    # the full sweep, the leading pivots, then the full set again
+    assert sweeps[1] == jacobi._pairs(k)[: k - 1] and sweeps[2] == jacobi._pairs(k)
+    assert_clip_with_orthonormal_basis(a, proj, basis)
+
+
+@pytest.mark.parametrize("k, n_below", [(4, 1), (6, 2)])
+def test_a_call_moves_the_pairs_below_minus_one_to_the_leading_slots(monkeypatch, k, n_below):
+    # A warm basis of exact eigenvectors in descending order puts the pairs
+    # below -1 last: the first call cannot split, and ends by permuting
+    # them into the leading slots, so the second call splits.
+    rng = np.random.default_rng(970 + k)
+    n = smallsym.JACOBI_MIN_BLOCKS
+    a = np.stack([blocks_with_spectrum(rng, k, n_below) for _ in range(n)])
+    b = a + 1e-3 * random_sym(rng, k, batch=n)
+    basis = np.linalg.eigh(a)[1].swapaxes(-1, -2)[:, ::-1].copy()
+    counter = SweepCounter(monkeypatch)
+    assert_clip_with_orthonormal_basis(a, project_shifted_psd(a, basis=basis), basis)
+    assert counter.after_the_first_sweep(0) in (set(), leading_pivots(k, k))
+    rayleigh = np.einsum("mci,mij,mcj->mc", basis, a, basis)
+    assert (rayleigh[:, :n_below] < -1.0).all() and (rayleigh[:, n_below:] > -1.0).all()
+    assert_clip_with_orthonormal_basis(b, project_shifted_psd(b, basis=basis), basis)
+    assert counter.after_the_first_sweep(1) == leading_pivots(k, n_below)
