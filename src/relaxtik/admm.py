@@ -4,9 +4,9 @@ The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
 The matrix-model variant, which verifies this solver, is in `verify`.
-The scaled dual z, the projection u and, where the projection runs
-Jacobi, its eigenvector basis are allocated once per solve and stored
-(k, k, M), so each entry (i, j) of all blocks is one row.
+The scaled dual z, the projection u and the projection's eigenvector
+basis are allocated once per solve and stored (k, k, M), so each entry
+(i, j) of all blocks is one row.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 
 from relaxtik import model
 from relaxtik.graph import Graph, Weights, degree_table
-from relaxtik.smallsym import project_shifted_psd, warm_basis
+from relaxtik.smallsym import project_shifted_psd
 
 __all__ = [
     "SolverConfig",
@@ -107,9 +107,8 @@ def _project(blocks, out, basis, pool, parts: int):
     if parts == 1:
         project_shifted_psd(blocks, out, basis)
     else:
-        bases = [None] * parts if basis is None else np.array_split(basis, parts)
-        splits = (np.array_split(a, parts) for a in (blocks, out))
-        list(pool.map(project_shifted_psd, *splits, bases))
+        splits = (np.array_split(a, parts) for a in (blocks, out, basis))
+        list(pool.map(project_shifted_psd, *splits))
 
 
 def normalize_rows(x) -> np.ndarray:
@@ -159,10 +158,11 @@ def admm_solve(
     x = np.zeros((n, d))
     ell = np.zeros(m)
     # The scaled dual and the projection, written in place every iteration,
-    # and the eigenvector basis of a Jacobi projection, an identity at first.
+    # and the eigenvector basis that warm-starts a Jacobi projection, an
+    # identity at first; a projection on eigh leaves it alone.
     z = np.zeros((k, k, m)).transpose(2, 0, 1)
     u = np.zeros((k, k, m)).transpose(2, 0, 1)
-    basis = warm_basis(m, k, parts)
+    basis = np.eye(k)[:, :, None].repeat(m, axis=2).transpose(2, 0, 1)
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf

@@ -20,7 +20,6 @@ __all__ = [
     "read_ppm",
     "write_ppm",
     "write_report",
-    "read_report",
     "read_edge_list",
     "write_edge_list",
     "read_vector",
@@ -74,20 +73,14 @@ def read_rotations(path) -> np.ndarray:
     raise ValueError(f"{path}: rows are neither unit quaternions nor axis-angle")
 
 
-def write_rotations(path, rs: np.ndarray, layout: str = "quaternion"):
-    """Write rotations as quaternion rows or row-major 3 x 3 rows."""
+def write_rotations(path, rs: np.ndarray):
+    """Write rotations as quaternion rows, w first."""
     from relaxtik.manifold import rotation_to_quat
 
     rs = np.asarray(rs, dtype=float)
     if rs.ndim != 3 or rs.shape[1:] != (3, 3):
         raise ValueError("expected an (N, 3, 3) stack")
-    if layout == "quaternion":
-        rows = rotation_to_quat(rs)
-    elif layout == "matrix":
-        rows = rs.reshape(-1, 9)
-    else:
-        raise ValueError("layout must be 'quaternion' or 'matrix'")
-    np.savetxt(path, rows, fmt=_FMT)
+    np.savetxt(path, rotation_to_quat(rs), fmt=_FMT)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -148,11 +141,6 @@ def write_report(path, report: dict):
     with open(path, "w") as fh:
         json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def read_edge_list(path, n_vertices=None):

@@ -11,16 +11,18 @@ while its entry is above TOL, relative to its block's largest entry, in
 some block of the chunk; a run of sweeps stops when a sweep rotates none,
 after at most MAX_SWEEPS of them.
 
-A call may start from a basis instead of the identity: the ADMM loop
-passes the eigenvectors the previous iteration left, since its blocks
-change little between iterations.  The basis is re-orthonormalized (one
-modified Gram-Schmidt pass, so rounding does not pile up over thousands
-of iterations), the block is rotated into it, W = V^T S V, and the sweeps
-go on from there: a nearly diagonal W converges quadratically (Golub and
-Van Loan, Matrix Computations, 8.5).  On a 90x90 circle-grid solve this
-cut the rotating sweeps per chunk from 5 to a mean of 2.6, and it is
-what puts 1000-rotation so3 lines (k = 6, M = 999) on this path: see
-the warm crossover table in `smallsym`.
+A call starts from a basis: an identity for a one-off projection, and in
+the ADMM loop the eigenvectors the previous iteration left, since its
+blocks change little between iterations.  The basis is re-orthonormalized
+(one modified Gram-Schmidt pass, so rounding does not pile up over
+thousands of iterations), the block is rotated into it, W = V^T S V, and
+the sweeps go on from there: a nearly diagonal W converges quadratically
+(Golub and Van Loan, Matrix Computations, 8.5).  On a 90x90 circle-grid
+solve the warm start cut the rotating sweeps per chunk from 5 to a mean
+of 2.6, and it is what puts 1000-rotation so3 lines (k = 6, M = 999) on
+this path: see the warm crossover table in `smallsym`.  From an identity
+the re-orthonormalization and the rotation into the basis are exact, so
+such a call is a plain cold start.
 
 Split and certify.  The clip at -1 needs only the eigenpairs below -1
 (Higham, Computing a nearest symmetric positive semidefinite matrix,
@@ -52,42 +54,35 @@ TOL = 2.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def eig(s: np.ndarray, work: np.ndarray, basis: np.ndarray | None = None):
+def eig(s: np.ndarray, work: np.ndarray, basis: np.ndarray):
     """Eigenpairs of the symmetric (k, k, m) stack s, which is left as it
-    is, for a clip at -1: values lam (k, m), an orthonormal basis vt
-    (k, k, m) whose row vt[c] is vector c of every block, and a mask of
-    the blocks done.  work is (k, k, m) scratch.
+    is, for a clip at -1: values lam (k, m) and a mask of the blocks done.
+    work is (k, k, m) scratch.
+
+    basis is a (k, k, m) stack whose row basis[c] is vector c of every
+    block: an identity, or a previous call's basis.  The sweeps start from
+    it: it is re-orthonormalized in place, s is rotated into it, and the
+    rotations are accumulated into it, so it ends as the orthonormal basis
+    that goes with lam.  A block whose basis is near its eigenvectors needs
+    fewer sweeps.
 
     In a block that is done, the pairs with lam below -1 are eigenpairs
     to TOL and come first, in slots 0..c-1.  The other vectors span the
     rest; where the call took the split path (module docstring) their
     Rayleigh matrix is only certified >= -1, and their lam are its
     diagonal, also >= -1.  The pairs of a block that is not done are
-    unusable.
-
-    Without basis the sweeps start from the identity.  With basis, a
-    (k, k, m) stack in vt's layout (an identity, or a previous call's vt),
-    they start from it: it is re-orthonormalized in place, s is rotated
-    into it, the rotations are accumulated into it, and it is returned as
-    vt.  A block whose basis is near its eigenvectors needs fewer sweeps."""
-    k, _, m = s.shape
+    unusable."""
     # Each block is scaled by a power of two, which is exact, so that its
     # largest entry lies in [1/2, 1): the tolerance is absolute and no
     # square in a rotation can overflow.
     np.abs(s, out=work)
     _, e = np.frexp(work.max(axis=(0, 1)))
-    if basis is None:
-        np.ldexp(s, -e, out=work)
-        vt = np.zeros((k, k, m))
-        vt[range(k), range(k)] = 1.0
-    else:
-        vt = basis
-        _orthonormalize(vt)
-        _congruence(s, e, vt, work)
-    done = _sweeps(work, vt, np.ldexp(-1.0, -e))
+    _orthonormalize(basis)
+    _congruence(s, e, basis, work)
+    done = _sweeps(work, basis, np.ldexp(-1.0, -e))
     lam = np.ldexp(np.diagonal(work).T, e)
-    _below_first(lam, vt)
-    return lam, vt, done
+    _below_first(lam, basis)
+    return lam, done
 
 
 def _orthonormalize(vt: np.ndarray):

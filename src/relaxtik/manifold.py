@@ -18,7 +18,6 @@ __all__ = [
     "InvalidRotationError",
     "quat_mul",
     "quat_conj",
-    "quat_norm",
     "axis_angle_to_quat",
     "quat_to_rotation",
     "axis_angle_to_rotation",
@@ -53,10 +52,6 @@ def quat_mul(a, b) -> np.ndarray:
 def quat_conj(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_norm(q) -> float:
-    return float(np.linalg.norm(np.asarray(q, dtype=float)))
 
 
 def _check_unit(v, name, tol=1e-8):

@@ -73,7 +73,7 @@ def apply_Q(x, ell, g: Graph, add_to=None) -> np.ndarray:
     return q
 
 
-def adjoint_Q(u, g: Graph, d=None):
+def adjoint_Q(u, g: Graph):
     """Adjoint of the shifted-block operator, split by component space.
 
     Returns (x_part, ell_part) where for vertex n and component i
@@ -85,9 +85,9 @@ def adjoint_Q(u, g: Graph, d=None):
     contributes nothing because it vanishes on these positions.)
     """
     u = np.asarray(u, dtype=float)
-    d = u.shape[-1] - 2 if d is None and u.ndim == 3 else d
-    if u.ndim != 3 or u.shape != (g.m_edges, d + 2, d + 2):
+    if u.ndim != 3 or u.shape != (g.m_edges, u.shape[-1], u.shape[-1]):
         raise ValueError("block field must be (M, d+2, d+2)")
+    d = u.shape[-1] - 2
     # Per component, one bincount over the first-slot terms followed by the
     # second-slot terms: each vertex sums its terms in edge order.
     terms, x_part = np.empty((2, len(u))), np.empty((g.n_vertices, d))

@@ -33,9 +33,10 @@ Jacobi wins from M = 511 on at every k <= 6 and loses or ties at 255;
 the threshold stays at 768, since no benchmarked input has 256 to 767
 blocks.  The 90x90 circle grid (16,020 blocks, k = 4) and 1000-rotation
 SO(3) lines (999 blocks, k = 6) take the Jacobi path; short lines (at
-most 767 blocks) and k >= 7 do not.  A one-off call starts cold, from
-the identity, and cold Jacobi is slower: at k = 6 and M = 1000 one
-projection took 8.4 ms against eigh's 7.1 (measured before the split).
+most 767 blocks) and k >= 7 do not.  A call given no basis starts each
+Jacobi chunk from an identity, that is cold, and cold Jacobi is slower:
+at k = 6 and M = 1000 one projection took 8.4 ms against eigh's 7.1
+(measured before the split).
 
 The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
@@ -55,7 +56,7 @@ symmetric.
 
 import numpy as np
 
-__all__ = ["project_shifted_psd", "warm_basis"]
+__all__ = ["project_shifted_psd"]
 
 MAX_DIM = 12
 # Dispatch to Jacobi, from the warm crossover table above.
@@ -64,19 +65,6 @@ JACOBI_MIN_BLOCKS = 768
 # Blocks per chunk: faster than one pass over the 90x90 grid's 16,020
 # blocks, and it bounds the work arrays' size.
 CHUNK = 8192
-
-
-def _uses_jacobi(m: int, k: int) -> bool:
-    return k <= JACOBI_MAX_DIM and m >= JACOBI_MIN_BLOCKS
-
-
-def warm_basis(m: int, k: int, parts: int = 1) -> np.ndarray | None:
-    """An identity `basis` for m blocks of side k, stored (k, k, m), or None
-    when none of the `parts` np.array_split pieces of the blocks would be
-    projected on the Jacobi path and use it."""
-    if _uses_jacobi(-(-m // parts), k):  # the largest piece
-        return np.eye(k)[:, :, None].repeat(m, axis=2).transpose(2, 0, 1)
-    return None
 
 
 def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
@@ -90,9 +78,10 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
     `out` is returned.  On the Jacobi path `basis`, a float array of a's
     shape holding each block's eigenvectors as rows (an identity, or a
     previous call's), starts the sweeps and receives the eigenvectors
-    found; the eigh path leaves it alone.  Raises ValueError for anything
-    but a finite square (k, k) or (M, k, k) array with 2 <= k <= 12, or an
-    `out` or `basis` unlike it.
+    found; without it they start from an identity.  The eigh path leaves
+    `basis` alone.  Raises ValueError for anything but a finite square
+    (k, k) or (M, k, k) array with 2 <= k <= 12, or an `out` or `basis`
+    unlike it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -107,11 +96,11 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
         if b is not None and (b.shape != a.shape or b.dtype != float):
             raise ValueError("out and basis must be float arrays of the input's shape")
     batch = a.reshape(-1, k, k)
-    jacobi = _uses_jacobi(len(batch), k)
+    jacobi = k <= JACOBI_MAX_DIM and len(batch) >= JACOBI_MIN_BLOCKS
     if jacobi:
         from relaxtik.jacobi import eig  # compiled only where it runs
     p = np.empty_like(batch) if out is None else out.reshape(batch.shape)
-    v = basis.reshape(batch.shape) if jacobi and basis is not None else None
+    v = basis.reshape(batch.shape) if basis is not None else None
     w_buf = np.empty(k * k * min(len(batch), CHUNK))
     for lo in range(0, len(batch), CHUNK):
         c = batch[lo : lo + CHUNK]
@@ -121,8 +110,11 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
         np.add(c.transpose(1, 2, 0), c.transpose(2, 1, 0), out=s)
         s *= 0.5
         if jacobi:
-            vt = None if v is None else v[lo : lo + CHUNK].transpose(1, 2, 0)
-            lam, vt, converged = eig(s, w, vt)
+            if v is None:
+                vt = np.eye(k)[:, :, None].repeat(len(c), axis=2)
+            else:
+                vt = v[lo : lo + CHUNK].transpose(1, 2, 0)
+            lam, converged = eig(s, w, vt)
             if not converged.all():
                 idx = np.flatnonzero(~converged)
                 lam[:, idx], vt[:, :, idx] = _eigh(s[:, :, idx])
@@ -145,6 +137,7 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
 
 
 def _eigh(s: np.ndarray):
-    """LAPACK eigenpairs of the symmetric (k, k, m) stack s, as jacobi.eig."""
+    """LAPACK eigenpairs of the symmetric (k, k, m) stack s: values (k, m)
+    and vectors as rows, laid out as jacobi.eig's basis."""
     lam, v = np.linalg.eigh(s.transpose(2, 0, 1))
     return lam.T, v.transpose(2, 1, 0)

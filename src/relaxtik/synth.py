@@ -28,11 +28,9 @@ __all__ = [
     "smooth_sphere_field",
     "smooth_so3_field",
     "smooth_color_image",
-    "perturb_so3",
     "perturb_so3_signal",
     "mean_sphere_distance",
     "rmse",
-    "rgb_to_hue",
     "hue_to_rgb",
     "rgb_to_hsv",
     "rgb_to_chromaticity_brightness",
@@ -287,11 +285,7 @@ def _quat_path(shape, rng, max_step_deg):
 
 def smooth_so3_signal(n: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG):
     """Smooth rotation-valued signal, shape (n, 3, 3)."""
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    rng = _as_rng(seed)
-    q = _quat_path((n,), rng, max_step_deg)
-    return quat_to_rotation(q)
+    return smooth_so3_field(n, 1, seed, max_step_deg)
 
 
 def smooth_so3_field(
@@ -304,11 +298,6 @@ def smooth_so3_field(
     shape = (n,) if min(height, width) == 1 else (height, width)
     q = _quat_path(shape, rng, max_step_deg)
     return quat_to_rotation(q)
-
-
-def perturb_so3(r: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:
-    """Noisy rotation: perturb_so3_signal of the one rotation r."""
-    return perturb_so3_signal(np.asarray(r, dtype=float)[None], p, seed)[0]
 
 
 def perturb_so3_signal(rs: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:
@@ -375,12 +364,6 @@ def rgb_to_hsv(rgb: np.ndarray):
     hue = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     sat = np.where(mx <= _GRAY_TOL, 0.0, c / np.where(mx <= _GRAY_TOL, 1.0, mx))
     return hue, sat, mx, gray
-
-
-def rgb_to_hue(rgb: np.ndarray):
-    """(unit 2-vector hue, gray flag); see rgb_to_hsv for the convention."""
-    hue, _, _, gray = rgb_to_hsv(rgb)
-    return hue, gray
 
 
 def hue_to_rgb(h: np.ndarray, s, v) -> np.ndarray:

@@ -176,29 +176,36 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
 
 def test_projection_reuses_its_buffers(monkeypatch):
     # The dual and the projection are allocated once, with the block axis
-    # fastest, and every iteration projects the one into the other.  A
-    # solve whose projection runs Jacobi also keeps one eigenvector basis,
-    # laid out the same way, to warm-start it; an eigh solve has none.
+    # fastest, and every iteration projects the one into the other.  Every
+    # solve also keeps one eigenvector basis, laid out the same way, that
+    # warm-starts a Jacobi projection; an eigh solve leaves it an identity.
     seen, bases = [], []
 
-    def recorded(blocks, out, basis=None):
+    def recorded(blocks, out, basis):
         seen.append((blocks.__array_interface__["data"][0], out.__array_interface__["data"][0],
                      blocks.strides[0], out.strides[0]))
-        bases.append(basis if basis is None else
-                     (basis.__array_interface__["data"][0], basis.strides[0]))
+        bases.append((basis.__array_interface__["data"][0], basis.strides[0]))
+        last[:] = [basis]
         return project(blocks, out=out, basis=basis)
 
-    project = admm.project_shifted_psd
+    def one_basis_of_its_own():
+        assert len(seen) == len(bases) == 25
+        assert len(set(seen)) == len(set(bases)) == 1
+        (basis, basis_stride), (blocks, out, *_) = bases[0], seen[0]
+        assert basis not in (blocks, out) and basis_stride == 8
+
+    project, last = admm.project_shifted_psd, []
     monkeypatch.setattr(admm, "project_shifted_psd", recorded)
     y = synth.add_vmf_noise(synth.smooth_circle_signal(30, 1), 10.0, 2)
     g = line_graph(30)
     res = admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
-    assert res.iterations == len(seen) == 25
-    assert len(set(seen)) == 1
+    assert res.iterations == 25
+    one_basis_of_its_own()
     blocks, out, blocks_stride, out_stride = seen[0]
     assert blocks != out
     assert blocks_stride == out_stride == 8
-    assert bases == [None] * 25
+    # 29 blocks: on eigh, which neither reads nor writes the basis
+    assert np.array_equal(last[0], np.tile(np.eye(4), (g.m_edges, 1, 1)))
     # 33x33 grid: 2112 blocks of side 4, on the Jacobi path
     seen.clear(), bases.clear()
     g = grid_graph(33, 33)
@@ -206,10 +213,7 @@ def test_projection_reuses_its_buffers(monkeypatch):
     rng = np.random.default_rng(5)
     y = synth.add_vmf_noise(synth.smooth_circle_field(33, 33, rng), 20.0, rng)
     admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
-    assert len(seen) == len(bases) == 25
-    assert len(set(seen)) == len(set(bases)) == 1
-    (basis, basis_stride), (blocks, out, *_) = bases[0], seen[0]
-    assert basis not in (blocks, out) and basis_stride == 8
+    one_basis_of_its_own()
 
 
 def test_threaded_jacobi_solve_matches_one_thread(monkeypatch):
@@ -256,7 +260,8 @@ def test_jacobi_projection_gives_the_eigen_clip_solve(monkeypatch):
 def test_so3_line_solve_projects_warm_on_the_jacobi_path(monkeypatch):
     # 800 rotations: 799 blocks of side 6, above the dispatch size, so every
     # iteration projects on the Jacobi path from the one basis.  The same
-    # solve with the dispatch size raised above it runs on eigh alone.
+    # solve with the dispatch size raised above it runs on eigh alone, and
+    # passes the basis it never reads.
     n = 800
     g = line_graph(n)
     assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS
@@ -266,21 +271,29 @@ def test_so3_line_solve_projects_warm_on_the_jacobi_path(monkeypatch):
     y, _ = pipeline.to_sphere("so3", rots, g)
     wt = Weights.constant(g, 1.0, 50.0)
     cfg = SolverConfig(rho=3.0, max_iter=300, tol=1e-4)
-    bases = []
+    calls = []
 
-    def recorded(blocks, out, basis=None):
-        bases.append(basis if basis is None else basis.__array_interface__["data"][0])
+    def recorded(blocks, out, basis):
+        calls.append(tuple(a.__array_interface__["data"][0] for a in (blocks, out, basis)))
+        last[:] = [basis]
         return project(blocks, out=out, basis=basis)
 
-    project = admm.project_shifted_psd
+    def one_basis_of_its_own(iterations):
+        assert len(calls) == iterations and len(set(calls)) == 1
+        blocks, out, basis = calls[0]
+        assert basis not in (blocks, out)
+
+    project, last = admm.project_shifted_psd, []
     monkeypatch.setattr(admm, "project_shifted_psd", recorded)
     warm = admm_solve(y, g, wt, cfg)
-    assert len(bases) == warm.iterations < cfg.max_iter
-    assert None not in bases and len(set(bases)) == 1
-    bases.clear()
+    assert warm.iterations < cfg.max_iter
+    one_basis_of_its_own(warm.iterations)
+    calls.clear()
     monkeypatch.setattr(smallsym, "JACOBI_MIN_BLOCKS", g.m_edges + 1)
     on_eigh = admm_solve(y, g, wt, cfg)
-    assert bases == [None] * on_eigh.iterations
+    one_basis_of_its_own(on_eigh.iterations)
+    # eigh neither reads nor writes the basis
+    assert np.array_equal(last[0], np.tile(np.eye(6), (g.m_edges, 1, 1)))
     assert on_eigh.iterations == warm.iterations
     assert np.abs(on_eigh.x - warm.x).max() <= 1e-12
     assert np.abs(on_eigh.ell - warm.ell).max() <= 1e-12

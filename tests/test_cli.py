@@ -131,7 +131,7 @@ def test_denoise_so3_rows(tmp_path):
     rots = synth.smooth_so3_signal(40, 4)
     noisy = synth.perturb_so3_signal(rots, synth.So3NoiseParams(30, 15), 5)
     p = tmp_path / "rots.txt"
-    fileio.write_rotations(p, noisy, layout="quaternion")
+    fileio.write_rotations(p, noisy)
     out = tmp_path / "out"
     assert run(["denoise", p, "--mode", "so3", "--graph", "line",
                 "--lambda", 50, "--outdir", out]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relaxtik import jacobi, smallsym
-from relaxtik.smallsym import project_shifted_psd, warm_basis
+from relaxtik.smallsym import project_shifted_psd
 
 
 def symmetrize(a):
@@ -333,18 +333,6 @@ class SweepCounter:
     def after_the_first_sweep(self, call):
         """The pivots (p, q) of every table that call passed after its first."""
         return {(p, q) for pairs, _ in self.calls[call][1:] for p, q, _ in pairs}
-
-
-def test_warm_basis_is_made_for_the_jacobi_path_only():
-    n = smallsym.JACOBI_MIN_BLOCKS
-    for k in (4, 6):
-        basis = warm_basis(n, k)
-        assert np.array_equal(basis, identity_basis(n, k)) and basis.strides[0] == 8
-        assert warm_basis(n - 1, k) is None
-        # split in two: pieces of n and n - 1 blocks, then of n - 1 each
-        assert warm_basis(2 * n - 1, k, parts=2).shape == (2 * n - 1, k, k)
-        assert warm_basis(2 * n - 2, k, parts=2) is None
-    assert warm_basis(n, 7) is None
 
 
 @pytest.mark.parametrize("k", range(2, 7))

@@ -123,15 +123,23 @@ def test_smooth_so3_signal_valid_rotations():
     assert rot_gap.max() <= 5.0 + 1e-6
 
 
+def test_smooth_so3_signal_is_the_width_one_field():
+    # so3 line inputs, the CLI benchmark's among them, come from the signal
+    assert np.array_equal(synth.smooth_so3_signal(150, 11), synth.smooth_so3_field(150, 1, 11))
+    a = synth.smooth_so3_signal(1000, np.random.default_rng([0, 1]))
+    b = synth.smooth_so3_field(1000, 1, np.random.default_rng([0, 1]))
+    assert np.array_equal(a, b)
+
+
 def test_perturb_so3_concentration_and_fallback():
     r = synth.smooth_so3_signal(5, 12)[3]
-    out = synth.perturb_so3(r, synth.So3NoiseParams(1e9, 1e9), 13)
+    out = synth.perturb_so3_signal(r[None], synth.So3NoiseParams(1e9, 1e9), 13)[0]
     assert np.linalg.norm(out - r) < 1e-3
-    out = synth.perturb_so3(np.eye(3), synth.So3NoiseParams(30.0, 15.0), 14)
+    out = synth.perturb_so3_signal(np.eye(3)[None], synth.So3NoiseParams(30.0, 15.0), 14)[0]
     assert np.abs(out.T @ out - np.eye(3)).max() < 1e-12
     assert abs(np.linalg.det(out) - 1.0) < 1e-12
-    a = synth.perturb_so3(r, synth.So3NoiseParams(30.0, 15.0), 15)
-    b = synth.perturb_so3(r, synth.So3NoiseParams(30.0, 15.0), 15)
+    a = synth.perturb_so3_signal(r[None], synth.So3NoiseParams(30.0, 15.0), 15)[0]
+    b = synth.perturb_so3_signal(r[None], synth.So3NoiseParams(30.0, 15.0), 15)[0]
     assert np.array_equal(a, b)
 
 
@@ -175,14 +183,14 @@ def test_rmse_examples():
 
 
 def test_hue_primary_colors():
-    hue, gray = synth.rgb_to_hue(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1.0]]))
+    hue, _, _, gray = synth.rgb_to_hsv(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1.0]]))
     ang = np.arctan2(hue[:, 1], hue[:, 0]) % (2 * np.pi)
     assert np.abs(ang - np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])).max() < 1e-12
     assert not gray.any()
 
 
 def test_hue_gray_flagged():
-    hue, gray = synth.rgb_to_hue(np.array([0.5, 0.5, 0.5]))
+    hue, _, _, gray = synth.rgb_to_hsv(np.array([0.5, 0.5, 0.5]))
     assert gray
     assert np.array_equal(hue, [1.0, 0.0])
 
@@ -195,7 +203,7 @@ def test_hue_round_trip():
     assert not gray[keep].any()
     back = synth.hue_to_rgb(h, s, v)
     assert np.abs(back[keep] - rgb[keep]).max() < 1e-10
-    h2, _ = synth.rgb_to_hue(back[keep])
+    h2, *_ = synth.rgb_to_hsv(back[keep])
     assert np.abs(h2 - h[keep]).max() < 1e-10
 
 
