@@ -9,6 +9,7 @@ basis are allocated once per solve and stored (k, k, M), so each entry
 (i, j) of all blocks is one row.
 """
 
+import functools
 import math
 import os
 import time
@@ -100,15 +101,16 @@ def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
     return x, ell
 
 
-def _project(blocks, out, basis, pool, parts: int):
-    """project_shifted_psd of blocks into out from basis, in `parts`
-    np.array_split pieces along M on the pool's threads (numpy releases
-    the GIL)."""
+def _project(blocks, out, basis, pool, parts: int, iteration: int):
+    """project_shifted_psd of blocks into out from basis at the loop's
+    iteration, in `parts` np.array_split pieces along M on the pool's
+    threads (numpy releases the GIL)."""
+    project = functools.partial(project_shifted_psd, iteration=iteration)
     if parts == 1:
-        project_shifted_psd(blocks, out, basis)
+        project(blocks, out, basis)
     else:
         splits = (np.array_split(a, parts) for a in (blocks, out, basis))
-        list(pool.map(project_shifted_psd, *splits))
+        list(pool.map(project, *splits))
 
 
 def normalize_rows(x) -> np.ndarray:
@@ -174,7 +176,7 @@ def admm_solve(
             if not np.isfinite(res):
                 raise SolverDivergence(f"non-finite iterate at iteration {it}")
             model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
-            _project(z, u, basis, pool, parts)
+            _project(z, u, basis, pool, parts, it)
             z -= u
             if collect_trace:
                 obj_trace.append(model._objective_K(x, ell, y, wt))

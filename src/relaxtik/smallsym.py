@@ -7,9 +7,13 @@ accept a single (k, k) matrix or a batch of shape (M, k, k) with k in 2..12.
 There is one clip and two eigensolvers.  The batch runs CHUNK (8192)
 blocks at a time: the symmetric part of a chunk is gathered into its
 slice of the result, seen as (k, k, m), diagonalized and rebuilt there
-as a clipped block.  The batch's shape (M, k) picks the eigensolver:
+as a clipped block.  The ADMM loop's batch is exactly symmetric, so a
+call from the loop gathers it with a plain copy: the same bits as the
+average of the two triangles, in about half the time (0.22 against 0.42
+ms on the 90x90 circle grid's 16,020 blocks).  The batch's shape (M, k)
+picks the eigensolver:
 
-- M >= JACOBI_MIN_BLOCKS (768) and k <= JACOBI_MAX_DIM (6): cyclic
+- M >= JACOBI_MIN_BLOCKS (511) and k <= JACOBI_MAX_DIM (6): cyclic
   Jacobi (`relaxtik.jacobi`), each rotation a few contiguous 1-D ufunc
   calls over all blocks of the chunk.  A block it leaves unconverged
   goes to LAPACK instead.
@@ -29,14 +33,13 @@ lines for k = 4 and 5, so3 lines for k = 6):
     5   2.17/1.74   2.65/3.45   3.24/4.90   3.68/6.29   5.67/12.1
     6   3.11/2.21   3.61/4.25   4.64/6.00   5.23/7.45   8.51/16.6
 
-Jacobi wins from M = 511 on at every k <= 6 and loses or ties at 255;
-the threshold stays at 768, since no benchmarked input has 256 to 767
-blocks.  The 90x90 circle grid (16,020 blocks, k = 4) and 1000-rotation
-SO(3) lines (999 blocks, k = 6) take the Jacobi path; short lines (at
-most 767 blocks) and k >= 7 do not.  A call given no basis starts each
-Jacobi chunk from an identity, that is cold, and cold Jacobi is slower:
-at k = 6 and M = 1000 one projection took 8.4 ms against eigh's 7.1
-(measured before the split).
+Jacobi wins from M = 511 on at every k <= 6 and loses or ties at 255,
+so the threshold is 511.  The 90x90 circle grid (16,020 blocks, k = 4)
+and 1000-rotation SO(3) lines (999 blocks, k = 6) take the Jacobi path;
+short lines (at most 510 blocks) and k >= 7 do not.  A call given no
+basis starts each Jacobi chunk from an identity, that is cold, and cold
+Jacobi is slower: at k = 6 and M = 1000 one projection took 8.4 ms
+against eigh's 7.1 (measured before the split).
 
 The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
@@ -61,14 +64,15 @@ __all__ = ["project_shifted_psd"]
 MAX_DIM = 12
 # Dispatch to Jacobi, from the warm crossover table above.
 JACOBI_MAX_DIM = 6
-JACOBI_MIN_BLOCKS = 768
+JACOBI_MIN_BLOCKS = 511
 # Blocks per chunk: faster than one pass over the 90x90 grid's 16,020
 # blocks, and it bounds the work arrays' size.
 CHUNK = 8192
 
 
 def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
-                        basis: np.ndarray | None = None) -> np.ndarray:
+                        basis: np.ndarray | None = None, *,
+                        iteration: int | None = None) -> np.ndarray:
     """Frobenius-nearest point of C = {A symmetric, A >= -I}.
 
     Clips the eigenvalues at -1: V max(Sigma, -1) V^T, rebuilt as in the
@@ -79,9 +83,12 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
     shape holding each block's eigenvectors as rows (an identity, or a
     previous call's), starts the sweeps and receives the eigenvectors
     found; without it they start from an identity.  The eigh path leaves
-    `basis` alone.  Raises ValueError for anything but a finite square
-    (k, k) or (M, k, k) array with 2 <= k <= 12, or an `out` or `basis`
-    unlike it.
+    `basis` alone.  `iteration`, the ADMM loop's iteration number, is for
+    the loop alone: `a` must then be exactly symmetric, and is gathered as
+    a plain copy, and `basis` is re-orthonormalized on the cadence of
+    `relaxtik.jacobi.eig` rather than on every call.  Raises ValueError
+    for anything but a finite square (k, k) or (M, k, k) array with
+    2 <= k <= 12, or an `out` or `basis` unlike it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -106,15 +113,18 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
         c = batch[lo : lo + CHUNK]
         s = p[lo : lo + CHUNK].transpose(1, 2, 0)
         w = w_buf[: c.size].reshape(s.shape)
-        # The symmetric part: eigh reads one triangle only.
-        np.add(c.transpose(1, 2, 0), c.transpose(2, 1, 0), out=s)
-        s *= 0.5
+        if iteration is None:
+            # The symmetric part: eigh reads one triangle only.
+            np.add(c.transpose(1, 2, 0), c.transpose(2, 1, 0), out=s)
+            s *= 0.5
+        else:
+            s[...] = c.transpose(1, 2, 0)
         if jacobi:
             if v is None:
                 vt = np.eye(k)[:, :, None].repeat(len(c), axis=2)
             else:
                 vt = v[lo : lo + CHUNK].transpose(1, 2, 0)
-            lam, converged = eig(s, w, vt)
+            lam, converged = eig(s, w, vt, iteration=iteration)
             if not converged.all():
                 idx = np.flatnonzero(~converged)
                 lam[:, idx], vt[:, :, idx] = _eigh(s[:, :, idx])

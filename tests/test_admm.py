@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from relaxtik import admm, model, pipeline, smallsym, synth
+from relaxtik import admm, jacobi, model, pipeline, smallsym, synth
 from relaxtik.admm import SolverConfig, SolverDivergence, admm_solve, primal_update
 from relaxtik.graph import Weights, from_edge_pairs, grid_graph, line_graph
 from relaxtik.model import apply_Q, objective_K
@@ -23,6 +23,14 @@ from relaxtik.verify import (
 def unit_rows(rng, n, d):
     v = rng.standard_normal((n, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def circle_grid_problem(side, seed):
+    """A side x side circle grid, its noisy signal and weights."""
+    g = grid_graph(side, side)
+    rng = np.random.default_rng(seed)
+    y = synth.add_vmf_noise(synth.smooth_circle_field(side, side, rng), 20.0, rng)
+    return y, g, Weights.constant(g, 1.0, 1.0)
 
 
 def test_config_validation():
@@ -149,9 +157,9 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
 
         return wrapper
 
-    def recorded(blocks, out, basis=None):
+    def recorded(blocks, out, basis=None, *, iteration):
         symmetric.append(np.array_equal(blocks, blocks.swapaxes(-1, -2)))
-        return project(blocks, out=out)
+        return project(blocks, out=out, iteration=iteration)
 
     def count_add_at(frame, event, arg):
         if event == "c_call" and getattr(arg, "__self__", None) is np.add and arg.__name__ == "at":
@@ -181,12 +189,12 @@ def test_projection_reuses_its_buffers(monkeypatch):
     # warm-starts a Jacobi projection; an eigh solve leaves it an identity.
     seen, bases = [], []
 
-    def recorded(blocks, out, basis):
+    def recorded(blocks, out, basis, *, iteration):
         seen.append((blocks.__array_interface__["data"][0], out.__array_interface__["data"][0],
                      blocks.strides[0], out.strides[0]))
         bases.append((basis.__array_interface__["data"][0], basis.strides[0]))
         last[:] = [basis]
-        return project(blocks, out=out, basis=basis)
+        return project(blocks, out=out, basis=basis, iteration=iteration)
 
     def one_basis_of_its_own():
         assert len(seen) == len(bases) == 25
@@ -208,11 +216,9 @@ def test_projection_reuses_its_buffers(monkeypatch):
     assert np.array_equal(last[0], np.tile(np.eye(4), (g.m_edges, 1, 1)))
     # 33x33 grid: 2112 blocks of side 4, on the Jacobi path
     seen.clear(), bases.clear()
-    g = grid_graph(33, 33)
+    y, g, wt = circle_grid_problem(33, 5)
     assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS
-    rng = np.random.default_rng(5)
-    y = synth.add_vmf_noise(synth.smooth_circle_field(33, 33, rng), 20.0, rng)
-    admm_solve(y, g, Weights.constant(g), SolverConfig(max_iter=25, tol=0.0))
+    admm_solve(y, g, wt, SolverConfig(max_iter=25, tol=0.0))
     one_basis_of_its_own()
 
 
@@ -221,11 +227,8 @@ def test_threaded_jacobi_solve_matches_one_thread(monkeypatch):
     # still takes the Jacobi path, warm-started from its half of the basis.
     # Two CPUs, so that the split runs on any host.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    g = grid_graph(46, 46)
+    y, g, wt = circle_grid_problem(46, 6)
     assert g.m_edges // 2 >= smallsym.JACOBI_MIN_BLOCKS
-    rng = np.random.default_rng(6)
-    y = synth.add_vmf_noise(synth.smooth_circle_field(46, 46, rng), 20.0, rng)
-    wt = Weights.constant(g, 1.0, 1.0)
     cfg = SolverConfig(rho=3.0, max_iter=2000, tol=1e-4)
     seq = admm_solve(y, g, wt, cfg)
     par = admm_solve(y, g, wt, cfg, n_threads=2)
@@ -234,18 +237,67 @@ def test_threaded_jacobi_solve_matches_one_thread(monkeypatch):
     assert np.abs(par.ell - seq.ell).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_loop_reorthonormalizes_the_basis_on_its_cadence(monkeypatch, n_threads):
+    # 33x33 grid: 2112 blocks of side 4, one chunk on the Jacobi path, or
+    # one per thread.  Every piece of every projection gets the iteration
+    # number; the Gram-Schmidt pass runs on every ORTHO_EVERY-th iteration
+    # only.  In between, the basis loses up to about 7e-16 of orthogonality
+    # an iteration (7.5e-15 by the 7th here); without the pass it would
+    # reach 2.7e-14 by the last iteration.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    y, g, wt = circle_grid_problem(33, 5)
+    assert g.m_edges // n_threads >= smallsym.JACOBI_MIN_BLOCKS
+    iterations, passes, errors = [], [], []
+
+    def counted(vt):
+        passes.append(max(iterations))
+        orthonormalize(vt)
+
+    def recorded(blocks, out, basis, *, iteration):
+        iterations.append(iteration)
+        project(blocks, out=out, basis=basis, iteration=iteration)
+        errors.append(np.abs(basis @ basis.swapaxes(-1, -2) - np.eye(4)).max())
+
+    project, orthonormalize = admm.project_shifted_psd, jacobi._orthonormalize
+    monkeypatch.setattr(admm, "project_shifted_psd", recorded)
+    monkeypatch.setattr(jacobi, "_orthonormalize", counted)
+    n = 3 * jacobi.ORTHO_EVERY + 5
+    admm_solve(y, g, wt, SolverConfig(max_iter=n, tol=0.0), n_threads=n_threads)
+    assert sorted(iterations) == [i for i in range(1, n + 1) for _ in range(n_threads)]
+    assert passes == [jacobi.ORTHO_EVERY * i for i in (1, 2, 3) for _ in range(n_threads)]
+    assert len(errors) == n * n_threads and max(errors) <= 1e-14
+
+
+def test_loop_projection_at_a_cadence_of_one_is_the_public_one(monkeypatch):
+    # The loop's dual is exactly symmetric, so the copy it is gathered with
+    # gives the bits of the public call's average of the two triangles; at
+    # a cadence of one the loop's solve is the public calls' bit for bit,
+    # and at its own cadence it is within rounding of it.
+    y, g, wt = circle_grid_problem(33, 5)
+    assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS
+    cfg = SolverConfig(rho=3.0, max_iter=40, tol=0.0)
+    loop = admm_solve(y, g, wt, cfg)
+    monkeypatch.setattr(jacobi, "ORTHO_EVERY", 1)
+    every = admm_solve(y, g, wt, cfg)
+    project = admm.project_shifted_psd
+    monkeypatch.setattr(admm, "project_shifted_psd",
+                        lambda blocks, out, basis, *, iteration: project(blocks, out, basis))
+    public = admm_solve(y, g, wt, cfg)
+    assert np.array_equal(every.x, public.x) and np.array_equal(every.ell, public.ell)
+    assert np.abs(loop.x - public.x).max() <= 1e-13
+    assert np.abs(loop.ell - public.ell).max() <= 1e-13
+
+
 def test_jacobi_projection_gives_the_eigen_clip_solve(monkeypatch):
     # 33x33 grid: 2112 blocks of side 4, so the solver projects on the
     # Jacobi path; the oracle is the clip written out from eigh.
-    g = grid_graph(33, 33)
+    y, g, wt = circle_grid_problem(33, 5)
     assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS
-    rng = np.random.default_rng(5)
-    y = synth.add_vmf_noise(synth.smooth_circle_field(33, 33, rng), 20.0, rng)
-    wt = Weights.constant(g, 1.0, 1.0)
     cfg = SolverConfig(rho=3.0, max_iter=2000, tol=1e-4)
     jacobi = admm_solve(y, g, wt, cfg)
 
-    def eigen_clip(a, out, basis=None):
+    def eigen_clip(a, out, basis=None, *, iteration):
         w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
         out[...] = (v * np.maximum(w, -1.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
         return out
@@ -273,10 +325,10 @@ def test_so3_line_solve_projects_warm_on_the_jacobi_path(monkeypatch):
     cfg = SolverConfig(rho=3.0, max_iter=300, tol=1e-4)
     calls = []
 
-    def recorded(blocks, out, basis):
+    def recorded(blocks, out, basis, *, iteration):
         calls.append(tuple(a.__array_interface__["data"][0] for a in (blocks, out, basis)))
         last[:] = [basis]
-        return project(blocks, out=out, basis=basis)
+        return project(blocks, out=out, basis=basis, iteration=iteration)
 
     def one_basis_of_its_own(iterations):
         assert len(calls) == iterations and len(set(calls)) == 1

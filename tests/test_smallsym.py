@@ -371,6 +371,38 @@ def test_eigh_path_neither_reads_nor_writes_the_basis(k):
     assert np.array_equal(basis, before)
 
 
+@pytest.mark.parametrize("path, k", on_both_paths([2, 4, 6]))
+def test_a_loop_call_on_a_symmetric_batch_is_the_public_call(monkeypatch, path, k, on_path):
+    # A loop call gathers the batch with a copy, which on an exactly
+    # symmetric batch gives the bits of the public call's average of the
+    # two triangles.  From an identity, and from a warm basis on a cadence
+    # iteration, it re-orthonormalizes as the public call does; in between
+    # it skips the pass.
+    rng = np.random.default_rng(1000 + k)
+    a = block_axis_fastest(on_path(path, random_sym(rng, k, batch=200)))
+    b = a + 1e-3 * symmetrize(rng.standard_normal(a.shape))
+    passes, orthonormalize = [], jacobi._orthonormalize
+    monkeypatch.setattr(jacobi, "_orthonormalize", lambda vt: passes.append(orthonormalize(vt)))
+    public, loop = identity_basis(len(a), k), identity_basis(len(a), k)
+    for batch, iteration in ((a, 1), (b, jacobi.ORTHO_EVERY)):
+        assert np.array_equal(project_shifted_psd(batch, basis=loop, iteration=iteration),
+                              project_shifted_psd(batch, basis=public))
+        assert np.array_equal(loop, public)
+    project_shifted_psd(b, basis=loop, iteration=jacobi.ORTHO_EVERY + 1)
+    assert len(passes) == (3 if path == "jacobi" else 0)
+
+
+@pytest.mark.parametrize("path, k", on_both_paths([2, 4, 6]))
+def test_a_public_call_projects_the_symmetric_part(path, k, on_path):
+    # A batch that is not symmetric projects as its symmetric part does,
+    # bit for bit.
+    rng = np.random.default_rng(1100 + k)
+    a = on_path(path, rng.standard_normal((200, k, k)))
+    assert not np.array_equal(a, a.swapaxes(-1, -2))
+    sym = 0.5 * (a + a.swapaxes(-1, -2))
+    assert np.array_equal(project_shifted_psd(a), project_shifted_psd(sym))
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_warm_start_cuts_the_rotating_sweeps(monkeypatch, k):
     # A cold start takes 4 to 6 rotating sweeps; a projection of a slightly
