@@ -48,6 +48,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
+        if not (isinstance(self.max_iter, int) or float(self.max_iter).is_integer()):
+            raise ValueError("max_iter must be an integer")
+        self.max_iter = int(self.max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not (math.isfinite(self.tol) and self.tol >= 0):
@@ -141,13 +144,9 @@ def admm_solve(
     first iteration whose (x, ell) is not finite; numpy's floating-point
     warnings on the way there are silenced, since the exception reports it.
     """
-    y = np.asarray(y, dtype=float)
     wt.check_graph(g)
-    if not np.isfinite(y).all():
-        raise ValueError("input signal must be finite")
+    y = model._check_signal(y, g)
     n, d = y.shape
-    if n != g.n_vertices or d not in model.SUPPORTED_DIMS:
-        raise ValueError("input signal has wrong shape")
     if n_threads < 1:
         raise ValueError("threads must be at least 1")
     m, k = g.m_edges, d + 2

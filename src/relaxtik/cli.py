@@ -114,9 +114,7 @@ def _fits(val, default) -> bool:
     return np.isfinite(val) and (isinstance(default, float) or val.is_integer())
 
 
-def _float_or_file(spec, length, default):
-    if spec is None:
-        return np.full(length, float(default))
+def _float_or_file(spec, length):
     try:
         return np.full(length, float(spec))
     except (TypeError, ValueError):
@@ -150,7 +148,7 @@ def _parse_graph(spec, n_vertices):
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
-_DENOISE_DEFAULTS = {"rho": 3.0, "max_iter": 600, "tol": 1e-4, "retract": False,
+_DENOISE_DEFAULTS = {**vars(SolverConfig()),
                      "seed": 0, "threads": 1, "lam": 1.0, "w": 1.0}
 
 
@@ -172,12 +170,8 @@ def _write_trace(path, res):
 def _cmd_denoise(args):
     file_cfg = _load_config_file(args.config)
     cfg = _merged(args, file_cfg, _DENOISE_DEFAULTS)
-    solver = SolverConfig(
-        rho=float(cfg["rho"]),
-        max_iter=int(cfg["max_iter"]),
-        tol=float(cfg["tol"]),
-        retract=bool(cfg["retract"]),
-    )
+    solver = SolverConfig(rho=cfg["rho"], max_iter=cfg["max_iter"], tol=cfg["tol"],
+                          retract=cfg["retract"])
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 
@@ -200,10 +194,10 @@ def _cmd_denoise(args):
     y, ctx = pipeline.to_sphere(args.mode, data, g)
 
     wt = Weights(
-        _float_or_file(cfg["w"], g.n_vertices, 1.0),
+        _float_or_file(cfg["w"], g.n_vertices),
         np.asarray(cfg["lam"], dtype=float)
         if isinstance(cfg["lam"], np.ndarray)
-        else _float_or_file(cfg["lam"], g.m_edges, 1.0),
+        else _float_or_file(cfg["lam"], g.m_edges),
     )
     res, unit, decoded = pipeline.solve(args.mode, y, ctx, g, wt, solver,
                                         collect_trace=True, n_threads=int(cfg["threads"]))
@@ -284,7 +278,7 @@ def _cmd_eval(args):
         "max_angular_error_deg": float(ang.max()),
         "mean_angular_error_deg": float(ang.mean()),
     }
-    text = json.dumps(fileio._jsonable(metrics), indent=2, sort_keys=True)
+    text = fileio.to_json(metrics)
     print(text)
     if args.out:
         with open(args.out, "w") as fh:

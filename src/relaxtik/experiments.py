@@ -19,15 +19,16 @@ from relaxtik.manifold import rotation_to_quat
 __all__ = ["ExperimentReport", "EXPERIMENT_DEFAULTS", "run_experiment"]
 
 
-EXPERIMENT_DEFAULTS = {
+# Every experiment solves with unit vertex weights and SolverConfig's
+# defaults, except where its entry below sets max_iter or tol.
+_SHARED = {"w": 1.0, "rho": SolverConfig.rho, "max_iter": SolverConfig.max_iter,
+           "tol": SolverConfig.tol}
+
+EXPERIMENT_DEFAULTS = {name: {**_SHARED, **entry} for name, entry in {
     "circle-line": {
         "n": 1000,
         "kappa": 10.0,
         "lam": 25.0,
-        "w": 1.0,
-        "rho": 3.0,
-        "max_iter": 600,
-        "tol": 1e-4,
     },
     # Fixed 6000 iterations (tol 0 disables the residual stop) so the
     # distance trace covers the full run.
@@ -36,8 +37,6 @@ EXPERIMENT_DEFAULTS = {
         "width": 90,
         "kappa": 20.0,
         "lam": 1.0,
-        "w": 1.0,
-        "rho": 3.0,
         "max_iter": 6000,
         "tol": 0.0,
     },
@@ -46,30 +45,21 @@ EXPERIMENT_DEFAULTS = {
         "width": 64,
         "kappa": 10.0,
         "lam": 1.0,
-        "w": 1.0,
-        "rho": 3.0,
         "max_iter": 1000,
-        "tol": 1e-4,
     },
     "chroma": {
         "height": 48,
         "width": 48,
         "kappa": 100.0,
         "lam": 3.0,
-        "w": 1.0,
-        "rho": 3.0,
         "max_iter": 1000,
-        "tol": 1e-4,
     },
     "so3-line": {
         "n": 1000,
         "kappa1": 30.0,
         "kappa2": 15.0,
         "lam": 50.0,
-        "w": 1.0,
-        "rho": 3.0,
         "max_iter": 300,
-        "tol": 1e-4,
     },
     "so3-grid": {
         "height": 32,
@@ -77,12 +67,9 @@ EXPERIMENT_DEFAULTS = {
         "kappa1": 30.0,
         "kappa2": 5.0,
         "lam": 1.0,
-        "w": 1.0,
-        "rho": 3.0,
         "max_iter": 1000,
-        "tol": 1e-4,
     },
-}
+}.items()}
 
 
 @dataclass

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from relaxtik.graph import Graph, from_edge_pairs
+from relaxtik.graph import from_edge_pairs
 
 __all__ = [
     "read_signal_csv",
@@ -19,9 +19,9 @@ __all__ = [
     "write_rotations",
     "read_ppm",
     "write_ppm",
+    "to_json",
     "write_report",
     "read_edge_list",
-    "write_edge_list",
     "read_vector",
 ]
 
@@ -121,26 +121,15 @@ def write_ppm(path, img: np.ndarray):
         fh.write(pix.tobytes())
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def to_json(report: dict) -> str:
+    """Indented JSON with sorted keys; numpy scalars and arrays are written
+    as the Python numbers and lists they hold."""
+    return json.dumps(report, indent=2, sort_keys=True, default=lambda o: o.tolist())
 
 
 def write_report(path, report: dict):
     with open(path, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(to_json(report) + "\n")
 
 
 def read_edge_list(path, n_vertices=None):
@@ -170,17 +159,6 @@ def read_edge_list(path, n_vertices=None):
     g = from_edge_pairs(n_vertices, pairs)
     lam = np.asarray(lams, dtype=float) if lams else None
     return g, lam
-
-
-def write_edge_list(path, g: Graph, edge_weights=None):
-    with open(path, "w") as fh:
-        if edge_weights is None:
-            for n, m in g.edges:
-                fh.write(f"{n} {m}\n")
-        else:
-            lam = np.asarray(edge_weights, dtype=float)
-            for (n, m), l in zip(g.edges, lam):
-                fh.write(f"{n} {m} {l:.17g}\n")
 
 
 def read_vector(path) -> np.ndarray:

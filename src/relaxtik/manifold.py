@@ -18,7 +18,6 @@ __all__ = [
     "InvalidRotationError",
     "quat_mul",
     "quat_conj",
-    "axis_angle_to_quat",
     "quat_to_rotation",
     "axis_angle_to_rotation",
     "rotation_to_quat",
@@ -26,8 +25,6 @@ __all__ = [
     "canonical_sign",
     "lift_signs",
     "LiftResult",
-    "frobenius_identity_check",
-    "matrix_rep",
 ]
 
 
@@ -60,15 +57,6 @@ def _check_unit(v, name, tol=1e-8):
     if np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() > tol:
         raise ValueError(f"{name} must be a unit vector")
     return v
-
-
-def axis_angle_to_quat(axis, alpha: float) -> np.ndarray:
-    """cos(a/2) + sin(a/2) (i v1 + j v2 + k v3); real part >= 0 for |a| <= pi."""
-    v = _check_unit(axis, "axis")
-    if v.shape != (3,):
-        raise ValueError("axis must be in R^3")
-    h = 0.5 * alpha
-    return np.concatenate([[np.cos(h)], np.sin(h) * v])
 
 
 def quat_to_rotation(q) -> np.ndarray:
@@ -224,37 +212,3 @@ def lift_signs(quats, g: Graph) -> LiftResult:
     bad = np.flatnonzero(dots < -1e-12)
     violations = [tuple(int(v) for v in g.edges[e]) for e in bad]
     return LiftResult(lifted=q, consistent=len(violations) == 0, violations=violations)
-
-
-def frobenius_identity_check(qn, qm):
-    """Both sides of ||R(qn) - R(qm)||_F^2 = 8 (1 - Re[qn conj(qm)]^2)."""
-    rn = quat_to_rotation(qn)
-    rm = quat_to_rotation(qm)
-    lhs = float(np.sum((rn - rm) ** 2))
-    re = float(quat_mul(qn, quat_conj(qm))[0])
-    rhs = 8.0 * (1.0 - re * re)
-    return lhs, rhs
-
-
-def matrix_rep(z, d: int) -> np.ndarray:
-    """Matrix representation realizing complex (d = 2) or quaternion (d = 4)
-    multiplication: M(a) M(b) = M(ab) and ||M(z)||_F^2 = d ||z||^2."""
-    z = np.asarray(z, dtype=float)
-    if d == 2:
-        if z.shape != (2,):
-            raise ValueError("expected a 2-vector")
-        a, b = z
-        return np.array([[a, -b], [b, a]])
-    if d == 4:
-        if z.shape != (4,):
-            raise ValueError("expected a 4-vector")
-        w, x, y, k = z
-        return np.array(
-            [
-                [w, -x, -y, -k],
-                [x, w, -k, y],
-                [y, k, w, -x],
-                [k, -y, x, w],
-            ]
-        )
-    raise ValueError("matrix representation exists for d in {2, 4} only")

@@ -17,9 +17,7 @@ from relaxtik.manifold import (
 )
 
 __all__ = [
-    "VmfParams",
     "So3NoiseParams",
-    "sample_vmf",
     "add_vmf_noise",
     "smooth_circle_signal",
     "smooth_sphere_signal",
@@ -38,26 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEP_DEG = 5.0
-
-
-@dataclass(frozen=True)
-class VmfParams:
-    """Mean direction and concentration ("capacity") of a vMF law on S^(d-1)."""
-
-    mu: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim != 1 or mu.shape[0] < 2:
-            raise ValueError("mu must be a vector in R^d, d >= 2")
-        if abs(np.linalg.norm(mu) - 1.0) > 1e-10:
-            raise ValueError("mu must be unit-norm")
-        if not (self.kappa >= 0.0):
-            raise ValueError("kappa must be nonnegative")
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "kappa", float(self.kappa))
 
 
 @dataclass(frozen=True)
@@ -139,15 +117,6 @@ def _vmf_rows(mus: np.ndarray, kappa: float, rng) -> np.ndarray:
     coef[safe] = 2.0 * np.sum(u[safe] * z[safe], axis=1) / uu[safe]
     out = z - coef[:, None] * u
     return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-
-def sample_vmf(p: VmfParams, rng_seed, count: int) -> np.ndarray:
-    """count i.i.d. von Mises-Fisher samples around p.mu, shape (count, d)."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    rng = _as_rng(rng_seed)
-    mus = np.broadcast_to(p.mu, (count, p.mu.shape[0]))
-    return _vmf_rows(mus, p.kappa, rng)
 
 
 def add_vmf_noise(x: np.ndarray, kappa: float, rng_seed) -> np.ndarray:
@@ -274,15 +243,6 @@ def smooth_sphere_field(
     return _bound_unit_path(raw, shape, base, np.deg2rad(max_step_deg))
 
 
-def _quat_path(shape, rng, max_step_deg):
-    n = int(np.prod(shape))
-    raw = _fourier_field(shape, 4, rng).reshape(n, 4)
-    base = _uniform_sphere(1, 4, rng)[0]
-    # The rotation angle between adjacent frames is twice the S^3 angle, so
-    # halve the bound on the quaternion path.
-    return _bound_unit_path(raw, shape, base, 0.5 * np.deg2rad(max_step_deg))
-
-
 def smooth_so3_signal(n: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG):
     """Smooth rotation-valued signal, shape (n, 3, 3)."""
     return smooth_so3_field(n, 1, seed, max_step_deg)
@@ -291,13 +251,10 @@ def smooth_so3_signal(n: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG):
 def smooth_so3_field(
     height: int, width: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG
 ):
-    n = height * width
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    rng = _as_rng(seed)
-    shape = (n,) if min(height, width) == 1 else (height, width)
-    q = _quat_path(shape, rng, max_step_deg)
-    return quat_to_rotation(q)
+    """Rotations of a smooth S^3 field, flattened row-major, shape (n, 3, 3).
+    The rotation angle between adjacent frames is twice the S^3 angle, so
+    the quaternion steps are bounded by half of max_step_deg."""
+    return quat_to_rotation(smooth_sphere_field(height, width, 4, seed, 0.5 * max_step_deg))
 
 
 def perturb_so3_signal(rs: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:

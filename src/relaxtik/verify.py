@@ -17,8 +17,8 @@ import numpy as np
 
 from relaxtik.admm import SolverConfig, SolverDivergence, residual
 from relaxtik.graph import Graph, Weights, degree_table
-from relaxtik.manifold import matrix_rep
-from relaxtik.model import SUPPORTED_DIMS, _check_ell, _check_signal, apply_Q, objective_tikhonov
+from relaxtik.model import (SUPPORTED_DIMS, _check_ell, _check_signal, _objective_K, apply_Q,
+                            objective_tikhonov)
 from relaxtik.smallsym import project_shifted_psd
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "constraint_blocks",
     "lemma_feasibility_check",
     "brute_force_min",
+    "matrix_rep",
     "matrix_rep_basis",
     "apply_P",
     "adjoint_P",
@@ -168,6 +169,30 @@ def brute_force_min(y, wt: Weights, g: Graph, angular_step: float):
 _VARIANTS = {"complex_d2": 2, "quaternion_d4": 4}
 
 
+def matrix_rep(z, d: int) -> np.ndarray:
+    """Matrix representation realizing complex (d = 2) or quaternion (d = 4)
+    multiplication: M(a) M(b) = M(ab) and ||M(z)||_F^2 = d ||z||^2."""
+    z = np.asarray(z, dtype=float)
+    if d == 2:
+        if z.shape != (2,):
+            raise ValueError("expected a 2-vector")
+        a, b = z
+        return np.array([[a, -b], [b, a]])
+    if d == 4:
+        if z.shape != (4,):
+            raise ValueError("expected a 4-vector")
+        w, x, y, k = z
+        return np.array(
+            [
+                [w, -x, -y, -k],
+                [x, w, -k, y],
+                [y, k, w, -x],
+                [k, -y, x, w],
+            ]
+        )
+    raise ValueError("matrix representation exists for d in {2, 4} only")
+
+
 def matrix_rep_basis(d: int) -> np.ndarray:
     """Basis matrices B_k = M(e_k), so that M(z) = sum_k z_k B_k."""
     eye = np.eye(d)
@@ -222,13 +247,7 @@ def adjoint_P(u, g: Graph, d: int):
 
 def matrix_model_objective(x, r, y, wt: Weights, g: Graph) -> float:
     """-sum w_n <x_n, y_n> - sum lambda Re[r]; only Re[r] = r[..., 0] enters."""
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(
-        -np.sum(wt.vertex_weights * np.einsum("nd,nd->n", x, y))
-        - np.sum(wt.edge_weights * r[:, 0])
-    )
+    return _objective_K(x, r[:, 0], y, wt)
 
 
 def solve_matrix_model(y, g: Graph, wt: Weights, cfg: SolverConfig, variant: str):

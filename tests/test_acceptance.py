@@ -14,7 +14,6 @@ from relaxtik import synth
 from relaxtik.admm import SolverConfig, admm_solve, primal_update
 from relaxtik.graph import Weights, from_edge_pairs, grid_graph, line_graph
 from relaxtik.manifold import (
-    axis_angle_to_quat,
     axis_angle_to_rotation,
     lift_signs,
     quat_conj,
@@ -31,6 +30,8 @@ from relaxtik.verify import (
     matrix_model_objective,
     solve_matrix_model,
 )
+
+from helpers import axis_angle_to_quat
 
 
 def unit_rows(rng, n, d):

@@ -40,9 +40,12 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
-    for bad in ({"rho": np.nan}, {"rho": np.inf}, {"tol": np.nan}, {"tol": np.inf}):
+    for bad in ({"rho": np.nan}, {"rho": np.inf}, {"tol": np.nan}, {"tol": np.inf},
+                {"max_iter": 2.5}, {"max_iter": np.nan}, {"max_iter": np.inf}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # an integral float, as a config file may give it, is stored as an int
+    assert type(SolverConfig(max_iter=600.0).max_iter) is int
 
 
 def test_zero_noise_idempotence():
@@ -417,6 +420,9 @@ def test_input_validation():
         admm_solve(np.ones((4, 2)), g, wt, SolverConfig())
     with pytest.raises(ValueError):
         admm_solve(np.full((3, 2), np.nan), g, wt, SolverConfig())
+    for y in (np.ones(3), np.ones((3, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            admm_solve(y, g, wt, SolverConfig())
 
 
 @pytest.mark.parametrize("variant,d", [("complex_d2", 2), ("quaternion_d4", 4)])

@@ -87,7 +87,7 @@ def test_denoise_grid_spec_and_edgelist(tmp_path):
     # wrong shape
     assert run(["denoise", p, "--graph", "grid:3x5", "--outdir", tmp_path / "g2"]) == 2
     # edge list with per-edge weights
-    from relaxtik.fileio import write_edge_list
+    from helpers import write_edge_list
     from relaxtik.graph import grid_graph
 
     g = grid_graph(4, 5)

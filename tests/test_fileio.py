@@ -104,6 +104,9 @@ def test_report_round_trip(tmp_path):
         "b": np.arange(3),
         "c": {"flag": np.bool_(True)},
         "d": [np.int64(5), 2.5],
+        "e": np.float32(0.1),
+        "f": np.arange(6.0).reshape(2, 3) / 3.0,
+        "g": np.float64(np.nan),
     }
     fileio.write_report(p, rep)
     with open(p) as fh:
@@ -112,3 +115,6 @@ def test_report_round_trip(tmp_path):
     assert back["b"] == [0, 1, 2]
     assert back["c"]["flag"] is True
     assert back["d"] == [5, 2.5]
+    assert back["e"] == float(np.float32(0.1))
+    assert back["f"] == (np.arange(6.0).reshape(2, 3) / 3.0).tolist()
+    assert np.isnan(back["g"])

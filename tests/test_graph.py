@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from relaxtik.fileio import read_edge_list, write_edge_list
+from relaxtik.fileio import read_edge_list
 from relaxtik.graph import (
     Graph,
     Weights,
@@ -12,6 +12,8 @@ from relaxtik.graph import (
     grid_graph,
     line_graph,
 )
+
+from helpers import write_edge_list
 
 
 def test_line_graph_structure():

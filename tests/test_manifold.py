@@ -6,18 +6,18 @@ import pytest
 from relaxtik.graph import from_edge_pairs, line_graph
 from relaxtik.manifold import (
     InvalidRotationError,
-    axis_angle_to_quat,
     axis_angle_to_rotation,
     canonical_sign,
-    frobenius_identity_check,
     lift_signs,
-    matrix_rep,
     quat_conj,
     quat_mul,
     quat_to_rotation,
     rotation_to_axis_angle,
     rotation_to_quat,
 )
+from relaxtik.verify import matrix_rep
+
+from helpers import axis_angle_to_quat
 
 E = np.eye(4)
 ONE, I, J, K = E[0], E[1], E[2], E[3]
@@ -221,6 +221,16 @@ def test_lift_signs_input_checks():
         lift_signs(np.ones((2, 4)), g)
     with pytest.raises(ValueError):
         lift_signs(np.stack([ONE, ONE, ONE]), g)
+
+
+def frobenius_identity_check(qn, qm):
+    """Both sides of ||R(qn) - R(qm)||_F^2 = 8 (1 - Re[qn conj(qm)]^2)."""
+    rn = quat_to_rotation(qn)
+    rm = quat_to_rotation(qm)
+    lhs = float(np.sum((rn - rm) ** 2))
+    re = float(quat_mul(qn, quat_conj(qm))[0])
+    rhs = 8.0 * (1.0 - re * re)
+    return lhs, rhs
 
 
 def test_frobenius_identity():

