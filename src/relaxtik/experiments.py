@@ -147,9 +147,7 @@ def run_experiment(
         y = synth.add_vmf_noise(truth, float(cfg["kappa"]), rng)
 
     wt = Weights.constant(g, float(cfg["w"]), float(cfg["lam"]))
-    solver = SolverConfig(
-        rho=float(cfg["rho"]), max_iter=int(cfg["max_iter"]), tol=float(cfg["tol"])
-    )
+    solver = SolverConfig(rho=cfg["rho"], max_iter=cfg["max_iter"], tol=cfg["tol"])
     res, denoised, decoded = pipeline.solve(kind, y, ctx, g, wt, solver, collect_trace, n_threads)
 
     images = {}

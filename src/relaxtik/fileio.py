@@ -1,9 +1,9 @@
 """File formats shared by the CLI: CSV signals, rotation files, PPM, JSON,
 edge lists and plain vectors.
 
-All floating point values are serialized with 17 significant digits so
-round trips are exact for doubles.  Signal and rotation readers accept
-comma- or whitespace-separated rows.
+Floating point values are written with 17 significant digits (in JSON,
+as Python's shortest repr), so round trips are exact for doubles.
+Signal and rotation readers accept comma- or whitespace-separated rows.
 """
 
 import json
