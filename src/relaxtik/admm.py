@@ -104,26 +104,10 @@ def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
     return x, ell
 
 
-def _project(blocks, out, basis, pool, parts: int, iteration: int):
-    """project_shifted_psd of blocks into out from basis at the loop's
-    iteration, in `parts` np.array_split pieces along M on the pool's
-    threads (numpy releases the GIL)."""
-    project = functools.partial(project_shifted_psd, iteration=iteration)
-    if parts == 1:
-        project(blocks, out, basis)
-    else:
-        splits = (np.array_split(a, parts) for a in (blocks, out, basis))
-        list(pool.map(project, *splits))
-
-
 def normalize_rows(x) -> np.ndarray:
     """Each row divided by its norm; rows of norm below 1e-12 are kept."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return x / np.where(norms < 1e-12, 1.0, norms)
-
-
-def _pool(parts: int):
-    return ThreadPoolExecutor(max_workers=parts) if parts > 1 else nullcontext()
 
 
 def admm_solve(
@@ -164,10 +148,15 @@ def admm_solve(
     z = np.zeros((k, k, m)).transpose(2, 0, 1)
     u = np.zeros((k, k, m)).transpose(2, 0, 1)
     basis = np.eye(k)[:, :, None].repeat(m, axis=2).transpose(2, 0, 1)
+    # Their pieces along M, one per thread (numpy releases the GIL): views
+    # that the in-place updates keep current.
+    pieces = [np.array_split(a, parts) for a in (z, u, basis)]
+    pool = ThreadPoolExecutor(max_workers=parts) if parts > 1 else nullcontext()
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf
-    with _pool(parts) as pool, np.errstate(over="ignore", invalid="ignore"):
+    with pool, np.errstate(over="ignore", invalid="ignore"):
+        fan_out = pool.map if parts > 1 else map
         for it in range(1, cfg.max_iter + 1):
             x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu)
             res = residual((x, ell), (x_new, ell_new))
@@ -175,7 +164,7 @@ def admm_solve(
             if not np.isfinite(res):
                 raise SolverDivergence(f"non-finite iterate at iteration {it}")
             model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
-            _project(z, u, basis, pool, parts, it)
+            list(fan_out(functools.partial(project_shifted_psd, iteration=it), *pieces))
             z -= u
             if collect_trace:
                 obj_trace.append(model._objective_K(x, ell, y, wt))
@@ -185,10 +174,11 @@ def admm_solve(
                 break
 
     obj = model.objective_K(x, ell, y, wt, g)
-    dist = float(np.mean(1.0 - np.linalg.norm(x, axis=1)))
+    norms = np.linalg.norm(x, axis=1)
+    dist = float(np.mean(1.0 - norms))
     collapsed = []
     if cfg.retract:
-        collapsed = [int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) < 1e-12)]
+        collapsed = [int(i) + 1 for i in np.flatnonzero(norms < 1e-12)]
         x = normalize_rows(x)
     return DenoiseResult(
         x=x,

@@ -240,6 +240,58 @@ def test_threaded_jacobi_solve_matches_one_thread(monkeypatch):
     assert np.abs(par.ell - seq.ell).max() <= 1e-12
 
 
+def test_threaded_pieces_keep_their_buffers(monkeypatch):
+    # Every iteration of a 2-thread solve maps the projection over two
+    # pieces each of the dual, the projection and the basis: the same
+    # adjacent slices of the same three buffers.
+    calls = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def map(self, fn, *pieces):
+            calls.append((fn.keywords, [[(p.__array_interface__["data"][0], p.shape, p.strides,
+                                         id(p.base)) for p in buf] for buf in pieces]))
+            return super().map(fn, *pieces)
+
+    monkeypatch.setattr(admm, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    y, g, wt = circle_grid_problem(46, 6)
+    admm_solve(y, g, wt, SolverConfig(max_iter=12, tol=0.0), n_threads=2)
+    assert [kw for kw, _ in calls] == [{"iteration": it} for it in range(1, 13)]
+    layouts = calls[0][1]
+    assert all(seen == layouts for _, seen in calls)
+    assert len(layouts) == 3 and len({buf[0][3] for buf in layouts}) == 3
+    for (lo, lo_shape, lo_strides, lo_base), (hi, hi_shape, hi_strides, hi_base) in layouts:
+        assert lo_base == hi_base and lo_strides == hi_strides
+        assert lo_shape[1:] == hi_shape[1:] and lo_shape[0] + hi_shape[0] == g.m_edges
+        assert hi == lo + lo_shape[0] * lo_strides[0]
+
+
+def test_each_thread_piece_picks_its_own_eigensolver(monkeypatch):
+    # 999 blocks of side 4 run on Jacobi on one thread; on two, pieces of
+    # 500 and 499 blocks fall below JACOBI_MIN_BLOCKS and run on eigh.
+    calls = []
+    eig = jacobi.eig
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[2])
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "eig", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    y = synth.add_vmf_noise(synth.smooth_circle_signal(1000, 3), 10.0, 4)
+    g = line_graph(1000)
+    wt = Weights.constant(g, 1.0, 25.0)
+    cfg = SolverConfig(max_iter=40, tol=0.0)
+    assert g.m_edges >= smallsym.JACOBI_MIN_BLOCKS > (g.m_edges + 1) // 2
+    seq = admm_solve(y, g, wt, cfg)
+    assert calls == [g.m_edges] * 40
+    calls.clear()
+    par = admm_solve(y, g, wt, cfg, n_threads=2)
+    assert calls == []
+    assert np.abs(par.x - seq.x).max() <= 1e-12
+    assert np.abs(par.ell - seq.ell).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_loop_reorthonormalizes_the_basis_on_its_cadence(monkeypatch, n_threads):
     # 33x33 grid: 2112 blocks of side 4, one chunk on the Jacobi path, or
