@@ -3,7 +3,7 @@
 The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
-The matrix-model variant, which verifies this solver, is in `verify`.
+The matrix-model variant, which verifies this solver, is in `tests/verify.py`.
 The scaled dual z, the projection u and the projection's eigenvector
 basis are allocated once per solve and stored (k, k, M), so each entry
 (i, j) of all blocks is one row.

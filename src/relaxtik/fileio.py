@@ -102,11 +102,18 @@ def read_ppm(path) -> np.ndarray:
         fields.append(data[start:pos])
     if fields[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (P6) file")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if b"" in fields or pos >= len(data):
+        raise ValueError(f"{path}: truncated header")
+    width, height, maxval = (int(f) if f.isdigit() else 0 for f in fields[1:])
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: width and height must be positive integers")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported")
     pos += 1  # single whitespace after maxval
-    pix = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
+    size = width * height * 3
+    if len(data) - pos < size:
+        raise ValueError(f"{path}: expected {size} pixel bytes, found {len(data) - pos}")
+    pix = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
     return pix.reshape(height, width, 3).astype(float) / 255.0
 
 

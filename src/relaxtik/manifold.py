@@ -54,7 +54,7 @@ def quat_conj(q) -> np.ndarray:
 def _check_unit(v, name, tol=1e-8):
     """v as a float array whose rows (or v itself) have unit norm."""
     v = np.asarray(v, dtype=float)
-    if np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() > tol:
+    if not np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() <= tol:
         raise ValueError(f"{name} must be a unit vector")
     return v
 
@@ -128,7 +128,7 @@ def rotation_to_quat(r) -> np.ndarray:
     if r.ndim not in (2, 3) or r.shape[-2:] != (3, 3):
         raise InvalidRotationError("expected a 3 x 3 matrix or an (N, 3, 3) stack")
     orth = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
-    if (orth > 1e-6).any() or (np.abs(np.linalg.det(r) - 1.0) > 1e-6).any():
+    if not ((orth <= 1e-6).all() and (np.abs(np.linalg.det(r) - 1.0) <= 1e-6).all()):
         raise InvalidRotationError("matrix is not a rotation")
     r00, r11, r22 = r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]
     t = r00 + r11 + r22
@@ -189,9 +189,7 @@ def lift_signs(quats, g: Graph) -> LiftResult:
     q = np.array(quats, dtype=float)
     if q.shape != (g.n_vertices, 4):
         raise ValueError("expected one quaternion row per vertex")
-    norms = np.linalg.norm(q, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-8:
-        raise ValueError("all quaternions must be unit")
+    _check_unit(q, "quaternion")
     adj = [[] for _ in range(g.n_vertices)]
     for a, b in zip(g.first, g.second):
         adj[a].append(b)

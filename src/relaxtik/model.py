@@ -9,7 +9,7 @@ For a signal x (N vectors in R^d) and per-edge scalars ell, every edge
 
 which is PSD with rank d exactly when x_n, x_m are unit vectors and
 ell = <x_n, x_m>.  The solver works with the shifted blocks Q - I, which
-apply_Q builds; `verify.constraint_blocks` returns the unshifted Q.
+apply_Q builds; `constraint_blocks` in `tests/verify.py` returns Q itself.
 """
 
 import numpy as np
@@ -53,8 +53,8 @@ def apply_Q(x, ell, g: Graph, add_to=None) -> np.ndarray:
     added to it in place and `add_to` is returned; the ADMM loop builds
     z + Q - I this way in its (d+2, d+2, M) dual, whose entries (i, j) are
     rows.  Runs once per ADMM iteration and does not check its input: x
-    must be (N, d) and ell (M,).  `verify.constraint_blocks` is the checked
-    form, and `admm_solve` checks the signal once at entry.
+    must be (N, d) and ell (M,).  `constraint_blocks` in `tests/verify.py`
+    is the checked form, and `admm_solve` checks the signal once at entry.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[1]

@@ -23,15 +23,15 @@ from relaxtik.manifold import (
 )
 from relaxtik.model import adjoint_Q, apply_Q, objective_K, objective_tikhonov
 from relaxtik.smallsym import project_shifted_psd
-from relaxtik.verify import (
+
+from helpers import axis_angle_to_quat
+from verify import (
     apply_P,
     brute_force_min,
     lemma_feasibility_check,
     matrix_model_objective,
     solve_matrix_model,
 )
-
-from helpers import axis_angle_to_quat
 
 
 def unit_rows(rng, n, d):

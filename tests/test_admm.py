@@ -9,9 +9,10 @@ import pytest
 
 from relaxtik import admm, jacobi, model, pipeline, smallsym, synth
 from relaxtik.admm import SolverConfig, SolverDivergence, admm_solve, primal_update
-from relaxtik.graph import Weights, from_edge_pairs, grid_graph, line_graph
+from relaxtik.graph import Graph, Weights, from_edge_pairs, grid_graph, line_graph
 from relaxtik.model import apply_Q, objective_K
-from relaxtik.verify import (
+
+from verify import (
     adjoint_P,
     apply_P,
     matrix_model_objective,
@@ -475,6 +476,9 @@ def test_input_validation():
     for y in (np.ones(3), np.ones((3, 2, 1))):
         with pytest.raises(ValueError, match="shape"):
             admm_solve(y, g, wt, SolverConfig())
+    lone = Graph(1, np.empty((0, 2), int))
+    with pytest.raises(ValueError, match="isolated vertex"):
+        admm_solve(np.ones((1, 2)), lone, Weights(np.ones(1), np.ones(0)), SolverConfig())
 
 
 @pytest.mark.parametrize("variant,d", [("complex_d2", 2), ("quaternion_d4", 4)])

@@ -35,13 +35,15 @@ def test_experiment_registry_names():
 def test_startup_leaves_the_kernel_and_verifier_unimported():
     # Every module imported at startup is compiled when no bytecode is cached.
     # The synthetic-data generators serve experiments, eval and color data.
-    code = ("import sys, relaxtik, relaxtik.cli; print(sorted("
-            "{'relaxtik.jacobi', 'relaxtik.verify', 'relaxtik.synth'} & set(sys.modules)))")
+    # The verification code lives in the tests, so the package must not ship it.
+    code = ("import importlib.util, sys, relaxtik, relaxtik.cli; print(sorted("
+            "{'relaxtik.jacobi', 'relaxtik.synth'} & set(sys.modules)), "
+            "importlib.util.find_spec('relaxtik.verify') is None)")
     src = os.path.dirname(os.path.dirname(relaxtik.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] True"
 
 
 def test_experiment_cli_outputs_and_determinism(tmp_path):

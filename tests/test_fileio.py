@@ -95,6 +95,15 @@ def test_ppm_rejects_other_formats(tmp_path):
     p.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ValueError):
         fileio.read_ppm(p)
+    for content, fault in [
+        (b"P6\n", "truncated header"),
+        (b"P6\n-2 -3\n255\n" + bytes(18), "width and height must be positive integers"),
+        (b"P6\n3 2\n255\n" + bytes(10), "expected 18 pixel bytes, found 10"),
+    ]:
+        p.write_bytes(content)
+        with pytest.raises(ValueError) as err:
+            fileio.read_ppm(p)
+        assert str(err.value) == f"{p}: {fault}"
 
 
 def test_report_round_trip(tmp_path):

@@ -15,9 +15,9 @@ from relaxtik.manifold import (
     rotation_to_axis_angle,
     rotation_to_quat,
 )
-from relaxtik.verify import matrix_rep
 
 from helpers import axis_angle_to_quat
+from verify import matrix_rep
 
 E = np.eye(4)
 ONE, I, J, K = E[0], E[1], E[2], E[3]
@@ -72,6 +72,8 @@ def test_quat_to_rotation_examples():
     assert np.allclose(quat_to_rotation(K), np.diag([-1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         quat_to_rotation(2 * ONE)
+    with pytest.raises(ValueError):
+        quat_to_rotation([np.nan, 0.0, 0.0, 0.0])
 
 
 def test_double_cover_exact():
@@ -95,6 +97,8 @@ def test_axis_angle_rotation_examples():
         assert np.abs(
             axis_angle_to_rotation(v, a) - axis_angle_to_rotation(-v, -a)
         ).max() < 1e-12
+    with pytest.raises(ValueError):
+        axis_angle_to_rotation([np.nan, 0.0, 1.0], 0.3)
 
 
 def test_quat_and_axis_angle_rotations_agree():
@@ -136,6 +140,8 @@ def test_rotation_to_quat_rejects_non_rotation():
         rotation_to_quat(1.01 * np.eye(3))
     with pytest.raises(InvalidRotationError):
         rotation_to_quat(np.eye(4))
+    with pytest.raises(InvalidRotationError):
+        rotation_to_quat(np.full((3, 3), np.nan))
 
 
 def test_rotation_to_axis_angle():
@@ -221,6 +227,8 @@ def test_lift_signs_input_checks():
         lift_signs(np.ones((2, 4)), g)
     with pytest.raises(ValueError):
         lift_signs(np.stack([ONE, ONE, ONE]), g)
+    with pytest.raises(ValueError):
+        lift_signs(np.stack([ONE, np.full(4, np.nan)]), g)
 
 
 def frobenius_identity_check(qn, qm):

@@ -3,7 +3,8 @@ import pytest
 
 from relaxtik.graph import Weights, from_edge_pairs, line_graph
 from relaxtik.model import adjoint_Q, apply_Q, objective_K, objective_tikhonov
-from relaxtik.verify import (
+
+from verify import (
     CapacityError,
     brute_force_min,
     build_constraint_block,

@@ -1,4 +1,4 @@
-"""Verification-only code, kept apart from the solver path.
+"""Test-only code that checks the solver; it is not part of the package.
 
 - The matrix-model solver runs the ADMM skeleton on the non-simplified
   relaxed models, whose per-edge blocks are built from d x d matrix
