@@ -148,18 +148,24 @@ def read_edge_list(path, n_vertices=None):
     rows = []
     lams = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
-                raise ValueError(f"bad edge-list row: {line!r}")
-            rows.append((int(parts[0]), int(parts[1])))
+                raise ValueError(f"{path}:{lineno}: bad edge-list row: {line!r}")
+            try:
+                rows.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: vertex ids must be integers") from None
             if len(parts) == 3:
-                lams.append(float(parts[2]))
+                try:
+                    lams.append(float(parts[2]))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: edge weight must be a number") from None
     if lams and len(lams) != len(rows):
-        raise ValueError("edge weights must be given for all edges or none")
+        raise ValueError(f"{path}: edge weights must be given for all edges or none")
     pairs = np.asarray(rows, dtype=np.int64)
     if n_vertices is None:
         n_vertices = int(pairs.max()) if pairs.size else 1

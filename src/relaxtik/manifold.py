@@ -91,6 +91,8 @@ def axis_angle_to_rotation(axis, alpha) -> np.ndarray:
     if v.shape[-1:] != (3,) or v.ndim > 2:
         raise ValueError("axis must be in R^3")
     alpha = np.asarray(alpha, dtype=float)
+    if not np.isfinite(alpha).all():
+        raise ValueError("angle must be finite")
     c, s = np.cos(alpha), np.sin(alpha)
     v1, v2, v3 = np.moveaxis(v, -1, 0)
     omc = 1.0 - c

@@ -29,12 +29,17 @@ seeds in interleaved runs, one thread, loaded 2-vCPU VM; circle and S^2
 lines for k = 4 and 5, so3 lines for k = 6):
 
     k   M = 255     M = 511     M = 767     M = 999     M = 1999
-    4   1.48/1.40   1.79/2.52   1.93/3.88   2.16/4.79   3.06/8.83
-    5   2.17/1.74   2.65/3.45   3.24/4.90   3.68/6.29   5.67/12.1
-    6   3.11/2.21   3.61/4.25   4.64/6.00   5.23/7.45   8.51/16.6
+    4   0.57/0.66   0.72/1.26   1.93/3.88   2.16/4.79   3.06/8.83
+    5   0.96/0.96   1.16/1.68   3.24/4.90   3.68/6.29   5.67/12.1
+    6   1.28/1.20   1.81/2.19   4.64/6.00   5.23/7.45   8.51/16.6
 
-Jacobi wins from M = 511 on at every k <= 6 and loses or ties at 255,
-so the threshold is 511.  The 90x90 circle grid (16,020 blocks, k = 4)
+The M = 255 and M = 511 columns are measured with `jacobi`'s warm first
+sweep in its trailing-pivots-first order (medians of 42 solves, 14 seeds
+three times each, on a quieter host than the other columns, so compare
+within a column).  Jacobi wins from M = 511 on at every k <= 6.  At 255
+it wins at k = 4 (median paired ratio 0.85), ties at k = 5 and loses at
+k = 6 (1.09), so a lower threshold would have to depend on k; the
+threshold is 511 for all k.  The 90x90 circle grid (16,020 blocks, k = 4)
 and 1000-rotation SO(3) lines (999 blocks, k = 6) take the Jacobi path;
 short lines (at most 510 blocks) and k >= 7 do not.  A call given no
 basis starts each Jacobi chunk from an identity, that is cold, and cold

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from relaxtik import cli, fileio, synth
 from relaxtik.fileio import read_edge_list
 from relaxtik.graph import (
     Graph,
@@ -124,6 +125,22 @@ def test_edge_list_partial_weights_rejected(tmp_path):
     path.write_text("1 2 3.0\n2 3\n")
     with pytest.raises(ValueError):
         read_edge_list(path)
+    # every message names the file, and a bad row its line; the CLI exits 2
+    signal = tmp_path / "signal.csv"
+    fileio.write_signal_csv(signal, synth.smooth_circle_signal(3, 0))
+    for text, message in [
+        ("1 2 3.0\n2 3\n", ": edge weights must be given for all edges or none"),
+        ("1 2\n# note\n2 x\n", ":3: vertex ids must be integers"),
+        ("1.5 2\n", ":1: vertex ids must be integers"),
+        ("1 2 heavy\n", ":1: edge weight must be a number"),
+        ("1 2\n2 3 4 5\n", ":2: bad edge-list row: '2 3 4 5'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == f"{path}{message}"
+        assert cli.main(["denoise", str(signal), "--graph", f"edgelist:{path}",
+                         "--outdir", str(tmp_path / "out")]) == 2
 
 
 def test_connectivity_check_scales_linearly():

@@ -99,6 +99,11 @@ def test_axis_angle_rotation_examples():
         ).max() < 1e-12
     with pytest.raises(ValueError):
         axis_angle_to_rotation([np.nan, 0.0, 1.0], 0.3)
+    for angle in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            axis_angle_to_rotation([0.0, 0.0, 1.0], angle)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        axis_angle_to_rotation(np.eye(3), [0.1, np.nan, 0.2])
 
 
 def test_quat_and_axis_angle_rotations_agree():

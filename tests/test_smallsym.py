@@ -455,6 +455,11 @@ def test_warm_projection_rotates_only_the_leading_pivots(monkeypatch, k, n_below
     assert eigh.calls == 0
     assert counter.after_the_first_sweep(0) == leading_pivots(k, n_below)
     assert_clip_with_orthonormal_basis(b, proj, basis)
+    # The first sweep rotates every pivot once, those with p >= n_below first.
+    first = [(p, q) for p, q, _ in counter.calls[0][0][0]]
+    assert sorted(first) == [(p, q) for p, q, _ in jacobi._pairs(k)]
+    leading = [p < n_below for p, _ in first]
+    assert leading == sorted(leading)
 
 
 @pytest.mark.parametrize("hidden", [False, True], ids=["just-above", "hidden-below"])
