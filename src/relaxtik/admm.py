@@ -4,9 +4,9 @@ The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
 The matrix-model variant, which verifies this solver, is in `tests/verify.py`.
-The scaled dual z, the projection u and the projection's eigenvector
-basis are allocated once per solve and stored (k, k, M), so each entry
-(i, j) of all blocks is one row.
+The scaled dual z, the projection u, its eigenvector basis and the primal
+step's invariants are made once per solve.  The blocks are stored (k, k, M),
+so each entry (i, j) of all blocks is one row; the primal step reads u - z there.
 """
 
 import functools
@@ -38,6 +38,12 @@ class SolverDivergence(RuntimeError):
     """Iterate became non-finite."""
 
 
+def _positive_int(value, name) -> int:
+    if not (isinstance(value, int) or float(value).is_integer()) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
 @dataclass
 class SolverConfig:
     rho: float = 3.0
@@ -48,11 +54,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
-        if not (isinstance(self.max_iter, int) or float(self.max_iter).is_integer()):
-            raise ValueError("max_iter must be an integer")
-        self.max_iter = int(self.max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        self.max_iter = _positive_int(self.max_iter, "max_iter")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError("tol must be nonnegative and finite")
 
@@ -76,32 +78,39 @@ class DenoiseResult:
 
 def residual(prev, new) -> float:
     """2-norm of the concatenated change of (x, ell) between iterates."""
-    dx = np.asarray(new[0], dtype=float) - np.asarray(prev[0], dtype=float)
-    dl = np.asarray(new[1], dtype=float) - np.asarray(prev[1], dtype=float)
-    return float(np.sqrt(np.sum(dx * dx) + np.sum(dl * dl)))
+    dx, dl = np.subtract(new[0], prev[0]), np.subtract(new[1], prev[1])
+    return math.sqrt(np.vdot(dx, dx) + np.vdot(dl, dl))
 
 
-def _degrees(g: Graph) -> np.ndarray:
+def _primal_step(y, wt: Weights, g: Graph, rho: float):
+    """primal_update's per-solve state: 1/(2 nu), w y/(2 rho nu), lambda/(2 rho), buffer, bins."""
     nu = degree_table(g)
     if (nu == 0).any():
         raise ValueError("graph has an isolated vertex")
-    return nu
-
-
-def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, nu=None):
-    """Closed-form minimizer of the augmented Lagrangian in (x, ell).
-
-    nu is the degree table of g; it is computed when not given.
-    """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if nu is None:
-        nu = _degrees(g)
-    # The adjoint is linear, so that of u - z is taken without forming u - z.
-    (ax, al), (bx, bl) = model.adjoint_Q(u, g), model.adjoint_Q(z, g)
-    x = (ax - bx + (wt.vertex_weights / rho)[:, None] * np.asarray(y)) / (2.0 * nu[:, None])
-    ell = 0.5 * (al - bl + wt.edge_weights / rho)
-    return x, ell
+    half_inv_nu, d, m = 0.5 / nu[:, None], np.shape(y)[1], g.m_edges
+    return (half_inv_nu, (wt.vertex_weights / rho)[:, None] * y * half_inv_nu,
+            (0.5 / rho) * wt.edge_weights, np.empty((2, d, m)),
+            (g.slots.reshape(2, 1, m) * d + np.arange(d)[:, None]).ravel())
+
+
+def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, step=None):
+    """Closed-form minimizer of the augmented Lagrangian in (x, ell).
+
+    u and z are (M, d+2, d+2) block fields of any strides, symmetric or not.
+    u - z is read once, at the entries model.adjoint_Q sums, into a (2, d, M)
+    buffer ordered like g.slots, and one bincount sums it per vertex and
+    component.  step holds the per-solve invariants; None computes them.
+    """
+    half_inv_nu, wy, half_lam, terms, bins = _primal_step(y, wt, g, rho) if step is None else step
+    d = terms.shape[1]
+    for j, out in enumerate(terms, d):  # the first slots' terms, then the second slots'
+        np.subtract(u[:, :d, j].T, z[:, :d, j].T, out=out)
+        out += u[:, j, :d].T
+        out -= z[:, j, :d].T
+    x = np.bincount(bins, terms.ravel(), wy.size).reshape(wy.shape) * half_inv_nu + wy
+    return x, 0.5 * (u[:, d, d + 1] - z[:, d, d + 1] + u[:, d + 1, d] - z[:, d + 1, d]) + half_lam
 
 
 def normalize_rows(x) -> np.ndarray:
@@ -131,13 +140,11 @@ def admm_solve(
     wt.check_graph(g)
     y = model._check_signal(y, g)
     n, d = y.shape
-    if n_threads < 1:
-        raise ValueError("threads must be at least 1")
+    n_threads = _positive_int(n_threads, "n_threads")
     m, k = g.m_edges, d + 2
     # One thread per piece of the blocks, with at least 2 blocks a piece.
     parts = min(n_threads, os.cpu_count() or 1)
     parts = parts if m >= 2 * parts else 1
-    nu = _degrees(g)
 
     t0 = time.perf_counter()
     x = np.zeros((n, d))
@@ -156,9 +163,10 @@ def admm_solve(
     it = 0
     res = np.inf
     with pool, np.errstate(over="ignore", invalid="ignore"):
+        step = _primal_step(y, wt, g, cfg.rho)
         fan_out = pool.map if parts > 1 else map
         for it in range(1, cfg.max_iter + 1):
-            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, nu)
+            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, step)
             res = residual((x, ell), (x_new, ell_new))
             x, ell = x_new, ell_new
             if not np.isfinite(res):

@@ -164,6 +164,8 @@ def read_edge_list(path, n_vertices=None):
                     lams.append(float(parts[2]))
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: edge weight must be a number") from None
+                if not 0 < lams[-1] < np.inf:
+                    raise ValueError(f"{path}:{lineno}: edge weight must be positive and finite")
     if lams and len(lams) != len(rows):
         raise ValueError(f"{path}: edge weights must be given for all edges or none")
     pairs = np.asarray(rows, dtype=np.int64)

@@ -151,7 +151,7 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch, tmp_path):
 
 
 def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
-    calls = {"apply_Q": 0, "degree_table": 0, "add.at": 0}
+    calls = {"apply_Q": 0, "adjoint_Q": 0, "degree_table": 0, "add.at": 0}
     symmetric = []
 
     def counted(name, fn):
@@ -172,6 +172,7 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
     project = admm.project_shifted_psd
     monkeypatch.setattr(admm, "project_shifted_psd", recorded)
     monkeypatch.setattr(model, "apply_Q", counted("apply_Q", model.apply_Q))
+    monkeypatch.setattr(model, "adjoint_Q", counted("adjoint_Q", model.adjoint_Q))
     monkeypatch.setattr(admm, "degree_table", counted("degree_table", admm.degree_table))
     y = synth.add_vmf_noise(synth.smooth_circle_signal(30, 1), 10.0, 2)
     g = line_graph(30)
@@ -181,7 +182,8 @@ def test_per_solve_work_is_hoisted_out_of_the_loop(monkeypatch):
     finally:
         sys.setprofile(None)
     assert res.iterations == 25
-    assert calls == {"apply_Q": 25, "degree_table": 1, "add.at": 0}
+    # the primal step reads u - z itself, without the adjoint
+    assert calls == {"apply_Q": 25, "adjoint_Q": 0, "degree_table": 1, "add.at": 0}
     # every batch the projection sees is exactly symmetric
     assert symmetric == [True] * 25
 
@@ -473,6 +475,19 @@ def test_primal_update_solves_normal_equations():
     nu = np.array([2, 2, 2, 2, 2])
     assert np.abs(2.0 * nu[:, None] * x - (ax + (2.0 / 3.0) * y)).max() < 1e-12
     assert np.abs(2.0 * ell - (al + 1.0)).max() < 1e-12
+    # uneven degrees (2, 3 and 4) and weights; u is not contiguous, neither is symmetric
+    g = grid_graph(4, 5)
+    nu = np.bincount(g.edges.ravel() - 1)
+    assert set(nu) == {2, 3, 4}
+    y = unit_rows(rng, g.n_vertices, d)
+    u = rng.standard_normal((k, k, g.m_edges)).transpose(2, 0, 1)
+    z = rng.standard_normal((g.m_edges, k, k))
+    wt = Weights(rng.uniform(0.5, 2.0, g.n_vertices), rng.uniform(0.5, 3.0, g.m_edges))
+    x, ell = primal_update(u, z, y, wt, g, rho=2.5)
+    ax, al = adjoint_Q(u - z, g)
+    wy = (wt.vertex_weights / 2.5)[:, None] * y
+    assert np.abs(2.0 * nu[:, None] * x - (ax + wy)).max() < 1e-12
+    assert np.abs(2.0 * ell - (al + wt.edge_weights / 2.5)).max() < 1e-12
 
 
 def test_input_validation():
@@ -485,6 +500,9 @@ def test_input_validation():
     for y in (np.ones(3), np.ones((3, 2, 1))):
         with pytest.raises(ValueError, match="shape"):
             admm_solve(y, g, wt, SolverConfig())
+    for threads in (0, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="n_threads must be a positive integer"):
+            admm_solve(np.ones((3, 2)), g, wt, SolverConfig(), n_threads=threads)
     lone = Graph(1, np.empty((0, 2), int))
     with pytest.raises(ValueError, match="isolated vertex"):
         admm_solve(np.ones((1, 2)), lone, Weights(np.ones(1), np.ones(0)), SolverConfig())

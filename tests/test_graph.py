@@ -133,14 +133,20 @@ def test_edge_list_partial_weights_rejected(tmp_path):
         ("1 2\n# note\n2 x\n", ":3: vertex ids must be integers"),
         ("1.5 2\n", ":1: vertex ids must be integers"),
         ("1 2 heavy\n", ":1: edge weight must be a number"),
+        ("1 2 1.0\n2 3 nan\n", ":2: edge weight must be positive and finite"),
+        ("1 2 inf\n", ":1: edge weight must be positive and finite"),
+        ("1 2 0\n", ":1: edge weight must be positive and finite"),
+        ("1 2 -2.5\n", ":1: edge weight must be positive and finite"),
         ("1 2\n2 3 4 5\n", ":2: bad edge-list row: '2 3 4 5'"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError) as exc:
             read_edge_list(path)
         assert str(exc.value) == f"{path}{message}"
-        assert cli.main(["denoise", str(signal), "--graph", f"edgelist:{path}",
-                         "--outdir", str(tmp_path / "out")]) == 2
+        # whether or not a --lambda flag overrides the file's weights
+        for extra in ([], ["--lambda", "3"]):
+            assert cli.main(["denoise", str(signal), "--graph", f"edgelist:{path}", *extra,
+                             "--outdir", str(tmp_path / "out")]) == 2
 
 
 def test_connectivity_check_scales_linearly():
