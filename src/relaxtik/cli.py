@@ -41,6 +41,15 @@ def _add_solver_flags(p):
     p.add_argument("--outdir", default=".")
 
 
+# The registry keys that only some experiments have (sizes and noise
+# levels), each a flag of its default's type; the rest are solver flags.
+_EXPERIMENT_FLAGS = {
+    key: type(val)
+    for entry in EXPERIMENT_DEFAULTS.values() for key, val in entry.items()
+    if not all(key in other for other in EXPERIMENT_DEFAULTS.values())
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="relaxtik",
@@ -62,10 +71,8 @@ def _build_parser():
 
     e = sub.add_parser("experiment", help="run a named benchmark experiment")
     e.add_argument("name", choices=sorted(EXPERIMENT_DEFAULTS))
-    for key in ("kappa", "kappa1", "kappa2"):
-        e.add_argument(f"--{key}", type=float, default=None)
-    for key in ("n", "height", "width"):
-        e.add_argument(f"--{key}", type=int, default=None)
+    for key, kind in _EXPERIMENT_FLAGS.items():
+        e.add_argument(f"--{key}", type=kind, default=None)
     _add_solver_flags(e)
 
     v = sub.add_parser("eval", help="compare a result signal against a truth")
@@ -115,13 +122,17 @@ def _fits(val, default) -> bool:
 
 
 def _float_or_file(spec, length):
+    """`length` weights from a lam or w value: a number, the edge list's
+    array, or the path of a file with one value or `length` values."""
+    if isinstance(spec, np.ndarray):
+        return spec
     try:
         return np.full(length, float(spec))
-    except (TypeError, ValueError):
+    except ValueError:
         pass
-    vals = fileio.read_vector(spec)
+    vals = fileio.read_signal_csv(spec).ravel()
     if vals.shape[0] == 1:
-        return np.full(length, float(vals[0]))
+        return np.full(length, vals[0])
     if vals.shape[0] != length:
         raise ValueError(f"{spec}: expected {length} values, found {vals.shape[0]}")
     return vals
@@ -143,8 +154,7 @@ def _parse_graph(spec, n_vertices):
             )
         return g, None
     if spec.startswith("edgelist:"):
-        g, lam = fileio.read_edge_list(spec[len("edgelist:"):], n_vertices)
-        return g, lam
+        return fileio.read_edge_list(spec[len("edgelist:"):], n_vertices)
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
@@ -153,16 +163,8 @@ _DENOISE_DEFAULTS = {**vars(SolverConfig()),
 
 
 def _write_trace(path, res):
-    if res.objective_trace is None:
-        return
-    rows = np.column_stack(
-        [
-            np.arange(1, res.iterations + 1),
-            res.objective_trace,
-            res.sphere_distance_trace,
-            res.residual_trace,
-        ]
-    )
+    rows = np.column_stack([np.arange(1, res.iterations + 1), res.objective_trace,
+                            res.sphere_distance_trace, res.residual_trace])
     header = "iteration,objective,sphere_distance,residual"
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
@@ -193,14 +195,8 @@ def _cmd_denoise(args):
             cfg["lam"] = file_lam
     y, ctx = pipeline.to_sphere(args.mode, data, g)
 
-    wt = Weights(
-        _float_or_file(cfg["w"], g.n_vertices),
-        np.asarray(cfg["lam"], dtype=float)
-        if isinstance(cfg["lam"], np.ndarray)
-        else _float_or_file(cfg["lam"], g.m_edges),
-    )
-    res, unit, decoded = pipeline.solve(args.mode, y, ctx, g, wt, solver,
-                                        collect_trace=True, n_threads=int(cfg["threads"]))
+    wt = Weights(_float_or_file(cfg["w"], g.n_vertices), _float_or_file(cfg["lam"], g.m_edges))
+    res, unit, decoded = pipeline.solve(args.mode, y, ctx, g, wt, solver, int(cfg["threads"]))
     report = {
         "mode": args.mode,
         "input": args.input,
@@ -233,10 +229,13 @@ def _cmd_denoise(args):
 
 def _cmd_experiment(args):
     defaults = {**EXPERIMENT_DEFAULTS[args.name], "seed": 0, "threads": 1}
+    stray = [f"--{key}" for key in _EXPERIMENT_FLAGS
+             if key not in defaults and getattr(args, key) is not None]
+    if stray:
+        raise ValueError(f"experiment {args.name} takes no {', '.join(stray)}")
     cfg = _merged(args, _load_config_file(args.config), defaults)
     seed, threads = int(cfg.pop("seed")), int(cfg.pop("threads"))
-    report = run_experiment(args.name, seed=seed, overrides=cfg,
-                            collect_trace=True, n_threads=threads)
+    report = run_experiment(args.name, seed=seed, overrides=cfg, n_threads=threads)
 
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)

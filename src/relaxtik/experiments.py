@@ -13,7 +13,7 @@ import numpy as np
 
 from relaxtik import pipeline
 from relaxtik.admm import DenoiseResult, SolverConfig
-from relaxtik.graph import Weights, grid_graph, line_graph
+from relaxtik.graph import Weights, grid_graph
 from relaxtik.manifold import rotation_to_quat
 
 __all__ = ["ExperimentReport", "EXPERIMENT_DEFAULTS", "run_experiment"]
@@ -105,7 +105,6 @@ def run_experiment(
     name: str,
     seed: int = 0,
     overrides: dict | None = None,
-    collect_trace: bool = True,
     n_threads: int = 1,
 ) -> ExperimentReport:
     """Run one named experiment and return its report.
@@ -129,16 +128,12 @@ def run_experiment(
 
     kind = "so3" if name.startswith("so3") else name if name in ("hue", "chroma") else "sphere"
     rng = np.random.default_rng(cfg["seed"])
-    on_line = "n" in cfg
-    shape = (int(cfg["n"]),) if on_line else (int(cfg["height"]), int(cfg["width"]))
-    if kind == "so3":
-        make_truth = synth.smooth_so3_signal if on_line else synth.smooth_so3_field
-    elif kind == "sphere":
-        make_truth = synth.smooth_circle_signal if on_line else synth.smooth_circle_field
-    else:
-        make_truth = synth.smooth_color_image
+    # A line of n vertices is the n x 1 grid.
+    shape = (int(cfg["n"]), 1) if "n" in cfg else (int(cfg["height"]), int(cfg["width"]))
+    make_truth = {"so3": synth.smooth_so3_field,
+                  "sphere": synth.smooth_circle_field}.get(kind, synth.smooth_color_image)
     truth_data = make_truth(*shape, rng)
-    g = line_graph(*shape) if on_line else grid_graph(*shape)
+    g = grid_graph(*shape)
     if kind == "so3":
         noise = synth.So3NoiseParams(float(cfg["kappa1"]), float(cfg["kappa2"]))
         y, ctx = pipeline.to_sphere(kind, synth.perturb_so3_signal(truth_data, noise, rng), g)
@@ -148,7 +143,7 @@ def run_experiment(
 
     wt = Weights.constant(g, float(cfg["w"]), float(cfg["lam"]))
     solver = SolverConfig(rho=cfg["rho"], max_iter=cfg["max_iter"], tol=cfg["tol"])
-    res, denoised, decoded = pipeline.solve(kind, y, ctx, g, wt, solver, collect_trace, n_threads)
+    res, denoised, decoded = pipeline.solve(kind, y, ctx, g, wt, solver, n_threads)
 
     images = {}
     if kind == "so3":

@@ -1,9 +1,10 @@
-"""File formats shared by the CLI: CSV signals, rotation files, PPM, JSON,
-edge lists and plain vectors.
+"""File formats shared by the CLI: CSV signals, rotation files, PPM, JSON
+and edge lists.
 
 Floating point values are written with 17 significant digits (in JSON,
 as Python's shortest repr), so round trips are exact for doubles.
-Signal and rotation readers accept comma- or whitespace-separated rows.
+Signal and rotation readers accept comma- or whitespace-separated rows;
+the CLI reads per-vertex and per-edge weight files as signals too.
 """
 
 import json
@@ -22,7 +23,6 @@ __all__ = [
     "to_json",
     "write_report",
     "read_edge_list",
-    "read_vector",
 ]
 
 _FMT = "%.17g"
@@ -36,11 +36,13 @@ def write_signal_csv(path, x: np.ndarray):
 
 def read_signal_csv(path) -> np.ndarray:
     """Finite numeric rows, comma-separated if the file has a comma,
-    whitespace-separated otherwise."""
+    whitespace-separated otherwise; `#` starts a comment."""
     with open(path) as fh:
         text = fh.read()
-    x = np.loadtxt(text.splitlines(), delimiter="," if "," in text else None,
-                   dtype=float, ndmin=2)
+    lines = text.splitlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"{path}: no data rows")
+    x = np.loadtxt(lines, delimiter="," if "," in text else None, dtype=float, ndmin=2)
     if not np.isfinite(x).all():
         raise ValueError(f"{path}: non-finite values")
     return x
@@ -166,16 +168,14 @@ def read_edge_list(path, n_vertices=None):
                     raise ValueError(f"{path}:{lineno}: edge weight must be a number") from None
                 if not 0 < lams[-1] < np.inf:
                     raise ValueError(f"{path}:{lineno}: edge weight must be positive and finite")
+    if not rows:
+        raise ValueError(f"{path}: no edges")
     if lams and len(lams) != len(rows):
         raise ValueError(f"{path}: edge weights must be given for all edges or none")
     pairs = np.asarray(rows, dtype=np.int64)
     if n_vertices is None:
-        n_vertices = int(pairs.max()) if pairs.size else 1
+        n_vertices = int(pairs.max())
     g = from_edge_pairs(n_vertices, pairs)
     lam = np.asarray(lams, dtype=float) if lams else None
     return g, lam
 
-
-def read_vector(path) -> np.ndarray:
-    """Read a plain text vector (one value per line), e.g. vertex weights."""
-    return np.atleast_1d(np.loadtxt(path, dtype=float))

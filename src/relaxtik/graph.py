@@ -100,11 +100,10 @@ def from_edge_pairs(n_vertices: int, pairs) -> Graph:
 
 
 def line_graph(n: int) -> Graph:
-    """Path graph 1-2-...-n."""
+    """Path graph 1-2-...-n: the n x 1 grid."""
     if n < 2:
         raise ValueError("line graph needs at least 2 vertices")
-    k = np.arange(1, n, dtype=np.int64)
-    return Graph(n, np.column_stack([k, k + 1]))
+    return grid_graph(n, 1)
 
 
 def grid_graph(height: int, width: int) -> Graph:

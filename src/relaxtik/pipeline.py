@@ -58,12 +58,12 @@ def from_sphere(kind: str, unit, ctx):
     return unit
 
 
-def solve(kind: str, y, ctx, g, wt, cfg, collect_trace=False, n_threads=1):
+def solve(kind: str, y, ctx, g, wt, cfg, n_threads=1):
     """Denoise the sphere signal y on g and map it back.
 
-    Returns (result, unit, decoded): the solver's DenoiseResult, its rows
-    normalized, and `from_sphere` of those.
+    Returns (result, unit, decoded): the solver's traced DenoiseResult,
+    its rows normalized, and `from_sphere` of those.
     """
-    res = admm.admm_solve(y, g, wt, cfg, collect_trace, n_threads)
+    res = admm.admm_solve(y, g, wt, cfg, collect_trace=True, n_threads=n_threads)
     unit = admm.normalize_rows(res.x)
     return res, unit, from_sphere(kind, unit, ctx)

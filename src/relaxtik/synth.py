@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from relaxtik.graph import grid_graph
 from relaxtik.manifold import (
     axis_angle_to_rotation,
     quat_to_rotation,
@@ -128,21 +129,21 @@ def add_vmf_noise(x: np.ndarray, kappa: float, rng_seed) -> np.ndarray:
     return _vmf_rows(x, kappa, rng)
 
 
-def _fourier_field(shape, channels: int, rng, n_modes: int = 4) -> np.ndarray:
-    """Smooth random field on a line (shape (n,)) or grid (shape (h, w)).
+def _fourier_field(h: int, w: int, channels: int, rng) -> np.ndarray:
+    """Smooth random field on an h x w grid, shape (h, w, channels).
 
-    Sum of a few low-frequency plane waves with random phases; amplitude
-    decays with the mode index so the field stays gentle.
+    Sum of a few low-frequency waves with random phases; amplitude decays
+    with the mode index so the field stays gentle.  A line (h or w is 1)
+    takes 4 sine modes along its length, a grid 12 plane waves.
     """
-    if len(shape) == 1:
-        t = np.arange(shape[0]) / shape[0]
-        out = np.zeros(shape + (channels,))
-        for k in range(1, n_modes + 1):
+    if min(h, w) == 1:
+        t = np.arange(h * w) / (h * w)
+        out = np.zeros((h * w, channels))
+        for k in range(1, 5):
             amp = rng.uniform(0.3, 1.0, size=channels) / k
             phase = rng.uniform(0.0, 2.0 * np.pi, size=channels)
             out += amp * np.sin(2.0 * np.pi * k * t[:, None] + phase)
-        return out
-    h, w = shape
+        return out.reshape(h, w, channels)
     ii = (np.arange(h) / h)[:, None, None]
     jj = (np.arange(w) / w)[None, :, None]
     out = np.zeros((h, w, channels))
@@ -157,32 +158,19 @@ def _fourier_field(shape, channels: int, rng, n_modes: int = 4) -> np.ndarray:
     return out
 
 
-def _neighbor_pairs(shape):
-    """Index pairs (flattened, row-major) of successive/adjacent vertices."""
-    if len(shape) == 1:
-        i = np.arange(shape[0] - 1)
-        return i, i + 1
-    h, w = shape
-    idx = np.arange(h * w).reshape(h, w)
-    a = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-    b = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-    return a, b
-
-
 def _angle_between_rows(a, b):
     dots = np.clip(np.sum(a * b, axis=1), -1.0, 1.0)
     return np.arccos(dots)
 
 
-def _bound_unit_path(raw, shape, base, bound_rad):
-    """Normalize base + perturbation and shrink until adjacent angles fit."""
-    ia, ib = _neighbor_pairs(shape)
+def _bound_unit_path(raw, g, base, bound_rad):
+    """Normalize base + perturbation and shrink until the angle across
+    every edge of g fits."""
     scale = 1.0
     for _ in range(60):
         v = base + scale * raw
         x = v / np.linalg.norm(v, axis=1, keepdims=True)
-        gaps = _angle_between_rows(x[ia], x[ib])
-        worst = gaps.max() if gaps.size else 0.0
+        worst = _angle_between_rows(x[g.first], x[g.second]).max()
         if worst <= bound_rad:
             return x
         scale *= 0.7 * max(bound_rad / worst, 0.1)
@@ -201,17 +189,13 @@ def smooth_circle_field(
 
     width = 1 (or height = 1) degenerates to a line signal.
     """
-    n = height * width
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
+    g = grid_graph(height, width)
+    n = g.n_vertices
     rng = _as_rng(seed)
-    shape = (n,) if min(height, width) == 1 else (height, width)
-    f = _fourier_field(shape, 1, rng).reshape(n)
+    f = _fourier_field(height, width, 1, rng).reshape(n)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
     bound = np.deg2rad(max_step_deg)
-    ia, ib = _neighbor_pairs(shape)
-    gaps = np.abs(f[ia] - f[ib])
-    worst = gaps.max() if gaps.size else 0.0
+    worst = np.abs(f[g.first] - f[g.second]).max()
     scale = 1.0 if worst <= bound else bound / worst
     theta = theta0 + scale * f
     return np.column_stack([np.cos(theta), np.sin(theta)])
@@ -231,16 +215,14 @@ def smooth_sphere_field(
     seed,
     max_step_deg: float = DEFAULT_MAX_STEP_DEG,
 ):
-    n = height * width
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
+    g = grid_graph(height, width)
+    n = g.n_vertices
     if d < 2:
         raise ValueError("d must be at least 2")
     rng = _as_rng(seed)
-    shape = (n,) if min(height, width) == 1 else (height, width)
-    raw = _fourier_field(shape, d, rng).reshape(n, d)
+    raw = _fourier_field(height, width, d, rng).reshape(n, d)
     base = _uniform_sphere(1, d, rng)[0]
-    return _bound_unit_path(raw, shape, base, np.deg2rad(max_step_deg))
+    return _bound_unit_path(raw, g, base, np.deg2rad(max_step_deg))
 
 
 def smooth_so3_signal(n: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG):
@@ -376,7 +358,7 @@ def smooth_color_image(height: int, width: int, seed) -> np.ndarray:
         raise ValueError("image must be at least 2 x 2")
     rng = _as_rng(seed)
     hue = smooth_circle_field(height, width, rng).reshape(height, width, 2)
-    sv = _fourier_field((height, width), 2, rng)
+    sv = _fourier_field(height, width, 2, rng)
     sv = sv / max(np.abs(sv).max(), 1.0)
     s = 0.55 + 0.25 * sv[..., 0]
     v = 0.6 + 0.25 * sv[..., 1]

@@ -247,6 +247,11 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["experiment", "circle-line", "--n", 10, "--retract", "--outdir", tmp_path / "e"])
     assert exc.value.code == 2
+    # a size or noise flag that is not in the experiment's registry entry
+    for name, flag in (("so3-line", ["--kappa", 5]), ("circle-line", ["--height", 7]),
+                       ("circle-grid", ["--n", 10]), ("hue", ["--kappa1", 3])):
+        assert run(["experiment", name, *flag, "--outdir", tmp_path / "stray"]) == 2
+    assert not (tmp_path / "stray").exists()
 
 
 def test_divergence_prints_only_the_error(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from relaxtik import fileio, synth
+from relaxtik.cli import main
 
 
 def test_signal_csv_round_trip(tmp_path):
@@ -14,11 +16,28 @@ def test_signal_csv_round_trip(tmp_path):
     assert np.array_equal(fileio.read_signal_csv(p), x)
 
 
-def test_signal_csv_rejects_nan(tmp_path):
+def test_signal_csv_rejects_nan(tmp_path, capsys):
     p = tmp_path / "sig.csv"
     p.write_text("1.0,2.0\nnan,0.0\n")
     with pytest.raises(ValueError):
         fileio.read_signal_csv(p)
+    # a file without data rows fails with its name, and numpy does not warn;
+    # so do the commands that read it as a signal or as a weight file
+    sig = tmp_path / "good.csv"
+    fileio.write_signal_csv(sig, synth.smooth_circle_signal(4, 0))
+    out = ["--outdir", tmp_path / "o"]
+    commands = [["eval", p, sig], ["eval", sig, p], ["denoise", p, *out],
+                ["denoise", sig, "--w", p, *out], ["denoise", sig, "--lambda", p, *out]]
+    for text in ("", "\n  \n", "# a comment, only\n\n"):
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                fileio.read_signal_csv(p)
+            assert str(exc.value) == f"{p}: no data rows"
+            for args in commands:
+                assert main([str(a) for a in args]) == 2
+                assert capsys.readouterr().err == f"error: {p}: no data rows\n"
 
 
 def test_signal_and_rotation_rows_take_either_separator(tmp_path):

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -138,15 +139,19 @@ def test_edge_list_partial_weights_rejected(tmp_path):
         ("1 2 0\n", ":1: edge weight must be positive and finite"),
         ("1 2 -2.5\n", ":1: edge weight must be positive and finite"),
         ("1 2\n2 3 4 5\n", ":2: bad edge-list row: '2 3 4 5'"),
+        ("", ": no edges"),
+        ("# no edges here\n\n", ": no edges"),
     ]:
         path.write_text(text)
-        with pytest.raises(ValueError) as exc:
-            read_edge_list(path)
-        assert str(exc.value) == f"{path}{message}"
-        # whether or not a --lambda flag overrides the file's weights
-        for extra in ([], ["--lambda", "3"]):
-            assert cli.main(["denoise", str(signal), "--graph", f"edgelist:{path}", *extra,
-                             "--outdir", str(tmp_path / "out")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                read_edge_list(path)
+            assert str(exc.value) == f"{path}{message}"
+            # whether or not a --lambda flag overrides the file's weights
+            for extra in ([], ["--lambda", "3"]):
+                assert cli.main(["denoise", str(signal), "--graph", f"edgelist:{path}", *extra,
+                                 "--outdir", str(tmp_path / "out")]) == 2
 
 
 def test_connectivity_check_scales_linearly():
