@@ -176,17 +176,16 @@ def admm_solve(
             z -= u
             if collect_trace:
                 obj_trace.append(model._objective_K(x, ell, y, wt))
-                dist_trace.append(float(np.mean(1.0 - np.linalg.norm(x, axis=1))))
+                dist_trace.append(model.mean_sphere_distance(x))
                 res_trace.append(res)
             if res < cfg.tol:
                 break
 
     obj = model.objective_K(x, ell, y, wt, g)
-    norms = np.linalg.norm(x, axis=1)
-    dist = float(np.mean(1.0 - norms))
+    dist = model.mean_sphere_distance(x)
     collapsed = []
     if cfg.retract:
-        collapsed = [int(i) + 1 for i in np.flatnonzero(norms < 1e-12)]
+        collapsed = [int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) < 1e-12)]
         x = normalize_rows(x)
     return DenoiseResult(
         x=x,

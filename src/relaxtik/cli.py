@@ -162,11 +162,19 @@ _DENOISE_DEFAULTS = {**vars(SolverConfig()),
                      "seed": 0, "threads": 1, "lam": 1.0, "w": 1.0}
 
 
-def _write_trace(path, res):
+def _write_run(outdir, res, report, signals, images):
+    """Make outdir, only now so that a failed command leaves none, and write
+    each signal (name: (writer, array)), each image as PPM, trace and report."""
+    os.makedirs(outdir, exist_ok=True)
+    for name, (write, x) in signals.items():
+        write(os.path.join(outdir, name), x)
+    for name, img in images.items():
+        fileio.write_ppm(os.path.join(outdir, name + ".ppm"), img)
     rows = np.column_stack([np.arange(1, res.iterations + 1), res.objective_trace,
                             res.sphere_distance_trace, res.residual_trace])
-    header = "iteration,objective,sphere_distance,residual"
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    np.savetxt(os.path.join(outdir, "trace.csv"), rows, fmt="%.17g", delimiter=",",
+               header="iteration,objective,sphere_distance,residual", comments="")
+    fileio.write_report(os.path.join(outdir, "report.json"), report)
 
 
 def _cmd_denoise(args):
@@ -174,8 +182,6 @@ def _cmd_denoise(args):
     cfg = _merged(args, file_cfg, _DENOISE_DEFAULTS)
     solver = SolverConfig(rho=cfg["rho"], max_iter=cfg["max_iter"], tol=cfg["tol"],
                           retract=cfg["retract"])
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
 
     if args.mode in ("hue", "chroma"):
         data = fileio.read_ppm(args.input)
@@ -209,21 +215,15 @@ def _cmd_denoise(args):
         "threads": int(cfg["threads"]),
         "collapsed_vertices": res.collapsed_vertices,
     }
+    raw = args.mode == "sphere" and not solver.retract
+    signal = (fileio.write_signal_csv, res.x if raw else unit)
     if args.mode == "so3":
         report["consistent"] = ctx.consistent
         if ctx.violations:
             report["lift_violations"] = ctx.violations
-
-    sig_path = os.path.join(outdir, "signal.csv")
-    if args.mode == "so3":
-        fileio.write_rotations(sig_path, decoded)
-    else:
-        raw = args.mode == "sphere" and not solver.retract
-        fileio.write_signal_csv(sig_path, res.x if raw else unit)
-    if args.mode in ("hue", "chroma"):
-        fileio.write_ppm(os.path.join(outdir, "denoised.ppm"), decoded)
-    _write_trace(os.path.join(outdir, "trace.csv"), res)
-    fileio.write_report(os.path.join(outdir, "report.json"), report)
+        signal = (fileio.write_rotations, decoded)
+    images = {"denoised": decoded} if args.mode in ("hue", "chroma") else {}
+    _write_run(args.outdir, res, report, {"signal.csv": signal}, images)
     return 0
 
 
@@ -237,17 +237,11 @@ def _cmd_experiment(args):
     seed, threads = int(cfg.pop("seed")), int(cfg.pop("threads"))
     report = run_experiment(args.name, seed=seed, overrides=cfg, n_threads=threads)
 
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
-    fileio.write_signal_csv(os.path.join(outdir, "signal.csv"), report.denoised)
-    fileio.write_signal_csv(os.path.join(outdir, "truth.csv"), report.truth)
-    fileio.write_signal_csv(os.path.join(outdir, "noisy.csv"), report.noisy)
-    for key, img in report.images.items():
-        fileio.write_ppm(os.path.join(outdir, key + ".ppm"), img)
-    _write_trace(os.path.join(outdir, "trace.csv"), report.result)
-    summary = report.summary_dict()
-    summary["threads"] = threads
-    fileio.write_report(os.path.join(outdir, "report.json"), summary)
+    csv = fileio.write_signal_csv
+    signals = {"signal.csv": (csv, report.denoised), "truth.csv": (csv, report.truth),
+               "noisy.csv": (csv, report.noisy)}
+    _write_run(args.outdir, report.result, {**report.summary_dict(), "threads": threads},
+               signals, report.images)
     print(
         f"{args.name}: {report.result.iterations} iterations, "
         f"rmse {report.rmse:.6g}, "

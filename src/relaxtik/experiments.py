@@ -149,16 +149,14 @@ def run_experiment(
     if kind == "so3":
         truth = rotation_to_quat(truth_data)
         truth *= np.where(np.einsum("nd,nd->n", truth, denoised) < 0.0, -1.0, 1.0)[:, None]
-        # RMSE on rotation matrices: insensitive to the quaternion sign choice.
-        err = float(np.sqrt(np.mean(np.sum((decoded - truth_data) ** 2, axis=(1, 2)))))
-    else:
-        err = synth.rmse(denoised, truth)
-        if kind != "sphere":
-            images = {
-                "image": truth_data,
-                "noisy_image": pipeline.from_sphere(kind, y, ctx),
-                "denoised_image": decoded,
-            }
+    elif kind != "sphere":
+        images = {
+            "image": truth_data,
+            "noisy_image": pipeline.from_sphere(kind, y, ctx),
+            "denoised_image": decoded,
+        }
+    # so3 errors are on rotation matrices: insensitive to the quaternion sign choice.
+    err = synth.rmse(decoded, truth_data) if kind == "so3" else synth.rmse(denoised, truth)
     return ExperimentReport(
         name=name,
         config={**cfg, "n_vertices": g.n_vertices, "m_edges": g.m_edges},

@@ -3,11 +3,14 @@ and edge lists.
 
 Floating point values are written with 17 significant digits (in JSON,
 as Python's shortest repr), so round trips are exact for doubles.
-Signal and rotation readers accept comma- or whitespace-separated rows;
-the CLI reads per-vertex and per-edge weight files as signals too.
+Signal and rotation readers accept comma- or whitespace-separated rows,
+the delimiter chosen from the data rows with their `#` comments stripped;
+the CLI reads per-vertex and per-edge weight files as signals too.  Reader
+errors name the file.
 """
 
 import json
+import re
 
 import numpy as np
 
@@ -35,14 +38,18 @@ def write_signal_csv(path, x: np.ndarray):
 
 
 def read_signal_csv(path) -> np.ndarray:
-    """Finite numeric rows, comma-separated if the file has a comma,
-    whitespace-separated otherwise; `#` starts a comment."""
+    """Finite numeric rows; `#` starts a comment.  Comma-separated if a
+    data row has a comma, whitespace-separated otherwise."""
     with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not any(line.split("#", 1)[0].strip() for line in lines):
+        rows = [line.split("#", 1)[0] for line in fh.read().splitlines()]
+    rows = [row for row in rows if row.strip()]
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    x = np.loadtxt(lines, delimiter="," if "," in text else None, dtype=float, ndmin=2)
+    try:
+        x = np.loadtxt(rows, delimiter="," if any("," in row for row in rows) else None,
+                       dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not np.isfinite(x).all():
         raise ValueError(f"{path}: non-finite values")
     return x
@@ -85,26 +92,21 @@ def write_rotations(path, rs: np.ndarray):
     np.savetxt(path, rotation_to_quat(rs), fmt=_FMT)
 
 
+# A header field after whitespace and comments; a comment runs to its line's end.
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*(?=\n|\Z))*([^\s#]\S*)")
+
+
 def read_ppm(path) -> np.ndarray:
     """Binary PPM (P6, maxval 255) as a float array in [0, 1], shape (h, w, 3)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P6":
+    fields, pos = [], 0
+    while len(fields) < 4 and (m := _PPM_FIELD.match(data, pos)):
+        fields.append(m[1])
+        pos = m.end()
+    if fields[:1] != [b"P6"]:
         raise ValueError(f"{path}: not a binary PPM (P6) file")
-    if b"" in fields or pos >= len(data):
+    if len(fields) < 4 or pos >= len(data):
         raise ValueError(f"{path}: truncated header")
     width, height, maxval = (int(f) if f.isdigit() else 0 for f in fields[1:])
     if width == 0 or height == 0:

@@ -21,6 +21,7 @@ __all__ = [
     "adjoint_Q",
     "objective_K",
     "objective_tikhonov",
+    "mean_sphere_distance",
 ]
 
 SUPPORTED_DIMS = (2, 3, 4)
@@ -129,3 +130,9 @@ def objective_tikhonov(x, y, wt: Weights, g: Graph) -> float:
     diff = x[g.first] - x[g.second]
     reg = 0.5 * np.sum(wt.edge_weights * np.sum(diff**2, axis=1))
     return float(fit + reg)
+
+
+def mean_sphere_distance(x) -> float:
+    """Mean of 1 - ||x_n|| over the rows: zero when every row is unit, and
+    negative when the rows are longer than unit on average."""
+    return float(np.mean(1.0 - np.linalg.norm(np.asarray(x, dtype=float), axis=-1)))

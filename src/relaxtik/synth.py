@@ -2,8 +2,9 @@
 
 Everything takes an explicit seed (or an already-constructed Generator) and
 is deterministic given it.  Smooth signals are built as a base point plus a
-low-frequency trigonometric perturbation, rescaled until successive angular
-increments stay below a bound (5 degrees by default).
+low-frequency trigonometric perturbation, rescaled until the angle across
+every edge of the line or grid stays below MAX_STEP_DEG.  The generators
+take a shape and a seed only.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from relaxtik.manifold import (
     quat_to_rotation,
     rotation_to_axis_angle,
 )
+from relaxtik.model import mean_sphere_distance
 
 __all__ = [
     "So3NoiseParams",
@@ -36,7 +38,8 @@ __all__ = [
     "chromaticity_brightness_to_rgb",
 ]
 
-DEFAULT_MAX_STEP_DEG = 5.0
+# The bound on the angle between adjacent values of a smooth signal.
+MAX_STEP_DEG = 5.0
 
 
 @dataclass(frozen=True)
@@ -177,14 +180,12 @@ def _bound_unit_path(raw, g, base, bound_rad):
     return x
 
 
-def smooth_circle_signal(n: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG):
+def smooth_circle_signal(n: int, seed):
     """Smooth unit-circle signal of length n with bounded angular increments."""
-    return smooth_circle_field(n, 1, seed, max_step_deg).reshape(n, 2)
+    return smooth_circle_field(n, 1, seed).reshape(n, 2)
 
 
-def smooth_circle_field(
-    height: int, width: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG
-):
+def smooth_circle_field(height: int, width: int, seed):
     """Smooth circle-valued field on a height x width grid, flattened row-major.
 
     width = 1 (or height = 1) degenerates to a line signal.
@@ -194,27 +195,23 @@ def smooth_circle_field(
     rng = _as_rng(seed)
     f = _fourier_field(height, width, 1, rng).reshape(n)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
-    bound = np.deg2rad(max_step_deg)
+    bound = np.deg2rad(MAX_STEP_DEG)
     worst = np.abs(f[g.first] - f[g.second]).max()
     scale = 1.0 if worst <= bound else bound / worst
     theta = theta0 + scale * f
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def smooth_sphere_signal(
-    n: int, d: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG
-):
+def smooth_sphere_signal(n: int, d: int, seed):
     """Smooth unit-sphere signal in R^d with bounded angular increments."""
-    return smooth_sphere_field(n, 1, d, seed, max_step_deg)
+    return smooth_sphere_field(n, 1, d, seed)
 
 
-def smooth_sphere_field(
-    height: int,
-    width: int,
-    d: int,
-    seed,
-    max_step_deg: float = DEFAULT_MAX_STEP_DEG,
-):
+def smooth_sphere_field(height: int, width: int, d: int, seed):
+    return _sphere_field(height, width, d, seed, MAX_STEP_DEG)
+
+
+def _sphere_field(height, width, d, seed, bound_deg):
     g = grid_graph(height, width)
     n = g.n_vertices
     if d < 2:
@@ -222,21 +219,19 @@ def smooth_sphere_field(
     rng = _as_rng(seed)
     raw = _fourier_field(height, width, d, rng).reshape(n, d)
     base = _uniform_sphere(1, d, rng)[0]
-    return _bound_unit_path(raw, g, base, np.deg2rad(max_step_deg))
+    return _bound_unit_path(raw, g, base, np.deg2rad(bound_deg))
 
 
-def smooth_so3_signal(n: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG):
+def smooth_so3_signal(n: int, seed):
     """Smooth rotation-valued signal, shape (n, 3, 3)."""
-    return smooth_so3_field(n, 1, seed, max_step_deg)
+    return smooth_so3_field(n, 1, seed)
 
 
-def smooth_so3_field(
-    height: int, width: int, seed, max_step_deg: float = DEFAULT_MAX_STEP_DEG
-):
+def smooth_so3_field(height: int, width: int, seed):
     """Rotations of a smooth S^3 field, flattened row-major, shape (n, 3, 3).
     The rotation angle between adjacent frames is twice the S^3 angle, so
-    the quaternion steps are bounded by half of max_step_deg."""
-    return quat_to_rotation(smooth_sphere_field(height, width, 4, seed, 0.5 * max_step_deg))
+    the quaternion steps are bounded by half of MAX_STEP_DEG."""
+    return quat_to_rotation(_sphere_field(height, width, 4, seed, 0.5 * MAX_STEP_DEG))
 
 
 def perturb_so3_signal(rs: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:
@@ -258,18 +253,13 @@ def perturb_so3_signal(rs: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:
     return axis_angle_to_rotation(w, np.arctan2(bvec[:, 1], bvec[:, 0]))
 
 
-def mean_sphere_distance(x: np.ndarray) -> float:
-    """Mean of 1 - ||x_n|| over the signal; zero iff every row is unit."""
-    x = np.asarray(x, dtype=float)
-    return float(np.mean(1.0 - np.linalg.norm(x, axis=-1)))
-
-
 def rmse(x: np.ndarray, x_true: np.ndarray) -> float:
+    """Root mean over the rows (vectors or matrices) of their squared error."""
     x = np.asarray(x, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
     if x.shape != x_true.shape:
         raise ValueError("signals must have the same shape")
-    return float(np.sqrt(np.mean(np.sum((x - x_true) ** 2, axis=-1))))
+    return float(np.sqrt(np.mean(np.sum((x - x_true) ** 2, axis=tuple(range(1, x.ndim))))))
 
 
 _GRAY_TOL = 1e-12

@@ -63,7 +63,7 @@ def test_experiment_cli_outputs_and_determinism(tmp_path):
     assert trace.shape[0] == rep["iterations"]
 
 
-def test_denoise_and_eval_flow(tmp_path):
+def test_denoise_and_eval_flow(tmp_path, capsys):
     exp = tmp_path / "exp"
     assert run(["experiment", "circle-line", "--n", 60, "--outdir", exp]) == 0
     den = tmp_path / "den"
@@ -79,6 +79,18 @@ def test_denoise_and_eval_flow(tmp_path):
     metrics = json.loads((tmp_path / "m.json").read_text())
     truth = fileio.read_signal_csv(exp / "truth.csv")
     assert metrics["rmse"] == pytest.approx(synth.rmse(x, truth), rel=1e-12)
+    # a --w file of one value weights every vertex; one of another length fails
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("2.5\n")
+    for w, out in ((2.5, tmp_path / "w_number"), (wfile, tmp_path / "w_file")):
+        assert run(["denoise", exp / "noisy.csv", "--lambda", 25, "--w", w,
+                    "--outdir", out]) == 0
+    assert (tmp_path / "w_file" / "signal.csv").read_bytes() == \
+        (tmp_path / "w_number" / "signal.csv").read_bytes()
+    wfile.write_text("1\n2\n")
+    capsys.readouterr()
+    assert run(["denoise", exp / "noisy.csv", "--w", wfile, "--outdir", tmp_path / "w2"]) == 2
+    assert capsys.readouterr().err == f"error: {wfile}: expected 60 values, found 2\n"
 
 
 def test_denoise_grid_spec_and_edgelist(tmp_path):
@@ -142,6 +154,17 @@ def test_denoise_so3_rows(tmp_path):
     q = np.loadtxt(out / "signal.csv")
     assert q.shape == (40, 4)
     assert np.abs(np.linalg.norm(q, axis=1) - 1.0).max() < 1e-9
+    # quaternions at 0, 60 and 120 degrees on one great circle: the lifting
+    # along edges 1-2 and 1-3 flips vertex 3, which breaks edge 2-3
+    ang = np.deg2rad([0.0, 60.0, 120.0])
+    np.savetxt(p, np.column_stack([np.cos(ang), np.sin(ang), np.zeros((3, 2))]))
+    edges = tmp_path / "cycle.txt"
+    edges.write_text("1 2\n2 3\n1 3\n")
+    assert run(["denoise", p, "--mode", "so3", "--graph", f"edgelist:{edges}",
+                "--outdir", out]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["consistent"] is False
+    assert rep["lift_violations"] == [[2, 3]]
 
 
 def test_config_file_precedence(tmp_path):
@@ -223,7 +246,7 @@ def test_weight_flags_keep_numbers_as_numbers(tmp_path):
     assert cfg2["w"] == 1.5
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run(["denoise", tmp_path / "missing.csv", "--graph", "line"]) == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,nan\n0.0,1.0\n")
@@ -252,6 +275,20 @@ def test_exit_codes(tmp_path):
                        ("circle-grid", ["--n", 10]), ("hue", ["--kappa1", 3])):
         assert run(["experiment", name, *flag, "--outdir", tmp_path / "stray"]) == 2
     assert not (tmp_path / "stray").exists()
+    # a failed denoise leaves no output directory either
+    sig3 = tmp_path / "sig3.csv"
+    fileio.write_signal_csv(sig3, synth.smooth_circle_signal(3, 7))
+    for args, code in (([tmp_path / "missing.csv"], 2), ([sig3, "--graph", "grid:2x2"], 2),
+                       ([sig, "--rho", "1e-320"], 3)):
+        assert run(["denoise", *args, "--outdir", tmp_path / "failed"]) == code
+        assert not (tmp_path / "failed").exists()
+    capsys.readouterr()
+    sig4 = tmp_path / "sig4.csv"
+    fileio.write_signal_csv(sig4, synth.smooth_sphere_signal(5, 4, 7))
+    for args, message in (([sig4, "--d", 3], "signal has d = 4, but --d 3 was given"),
+                          ([sig, "--graph", "grid:2by2"], "bad grid shape '2by2', expected HxW")):
+        assert run(["denoise", *args, "--outdir", tmp_path / "failed"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_divergence_prints_only_the_error(tmp_path, capsys):

@@ -21,6 +21,15 @@ def test_signal_csv_rejects_nan(tmp_path, capsys):
     p.write_text("1.0,2.0\nnan,0.0\n")
     with pytest.raises(ValueError):
         fileio.read_signal_csv(p)
+    # a ragged or non-numeric file fails with its name (numpy words the rest
+    # differently across versions), and denoise exits 2 on it
+    for text in ("1,0\n0,1,2\n", "1,0\nx,1\n", "1 0\n0 one\n"):
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            fileio.read_signal_csv(p)
+        assert str(exc.value).startswith(f"{p}: ")
+        assert main(["denoise", str(p), "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
     # a file without data rows fails with its name, and numpy does not warn;
     # so do the commands that read it as a signal or as a weight file
     sig = tmp_path / "good.csv"
@@ -47,6 +56,10 @@ def test_signal_and_rotation_rows_take_either_separator(tmp_path):
     fileio.write_signal_csv(commas, x)
     assert np.array_equal(fileio.read_signal_csv(spaced), x)
     assert np.array_equal(fileio.read_rotations(commas), fileio.read_rotations(spaced))
+    # the delimiter is chosen from the data rows, not from a comment's text
+    for text in ("# x, y\n1 0\n0 1\n", "1 0 # a, b\n0 1\n"):
+        spaced.write_text(text)
+        assert np.array_equal(fileio.read_signal_csv(spaced), np.eye(2))
     (tmp_path / "nan.txt").write_text("1 0 0 0\nnan 0 0 1\n")
     with pytest.raises(ValueError):
         fileio.read_signal_csv(tmp_path / "nan.txt")
@@ -116,6 +129,8 @@ def test_ppm_rejects_other_formats(tmp_path):
         fileio.read_ppm(p)
     for content, fault in [
         (b"P6\n", "truncated header"),
+        # a comment runs to the end of its line: no field is read inside one
+        (b"P6\n3 2\n# 255\n", "truncated header"),
         (b"P6\n-2 -3\n255\n" + bytes(18), "width and height must be positive integers"),
         (b"P6\n3 2\n255\n" + bytes(10), "expected 18 pixel bytes, found 10"),
     ]:
