@@ -4,9 +4,13 @@ The three-step scheme alternates a closed-form primal update, an
 eigenvalue-clip projection of every per-edge block onto
 C = {A >= -I}, and a dual ascent step.  Zero initialization throughout.
 The matrix-model variant, which verifies this solver, is in `tests/verify.py`.
-The scaled dual z, the projection u, its eigenvector basis and the primal
-step's invariants are made once per solve.  The blocks are stored (k, k, M),
-so each entry (i, j) of all blocks is one row; the primal step reads u - z there.
+A solve holds two block fields, the scaled dual z and the eigenvector basis,
+stored (k, k, M), so each entry (i, j) of all blocks is one row.  The
+projection u is never held whole: each thread projects its piece of z
+smallsym.CHUNK blocks at a time into one buffer of its own, subtracts the
+chunk from z and writes the chunk's u - z at the entries the primal step
+reads into the primal step's terms, all while the chunk is in cache.  Each
+chunk picks its eigensolver from its own size (see smallsym).
 """
 
 import functools
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relaxtik import model
+from relaxtik import model, smallsym
 from relaxtik.graph import Graph, Weights, degree_table
 from relaxtik.smallsym import project_shifted_psd
 
@@ -78,12 +82,15 @@ class DenoiseResult:
 
 def residual(prev, new) -> float:
     """2-norm of the concatenated change of (x, ell) between iterates."""
-    dx, dl = np.subtract(new[0], prev[0]), np.subtract(new[1], prev[1])
-    return math.sqrt(np.vdot(dx, dx) + np.vdot(dl, dl))
+    dx, dl = np.subtract(new[0], prev[0]).ravel(), np.subtract(new[1], prev[1]).ravel()
+    # einsum, not a BLAS dot such as np.vdot, which wakes an OpenBLAS worker
+    # thread that then spins on a second core for the rest of the solve.
+    return math.sqrt(np.einsum("i,i->", dx, dx) + np.einsum("i,i->", dl, dl))
 
 
 def _primal_step(y, wt: Weights, g: Graph, rho: float):
-    """primal_update's per-solve state: 1/(2 nu), w y/(2 rho nu), lambda/(2 rho), buffer, bins."""
+    """The primal step's per-solve state: 1/(2 nu), w y/(2 rho nu), lambda/(2 rho),
+    the (2d+1, M) terms that _gather writes, zero, and the bins of its first 2d rows."""
     nu = degree_table(g)
     if (nu == 0).any():
         raise ValueError("graph has an isolated vertex")
@@ -91,26 +98,64 @@ def _primal_step(y, wt: Weights, g: Graph, rho: float):
         raise ValueError("rho must be positive")
     half_inv_nu, d, m = 0.5 / nu[:, None], np.shape(y)[1], g.m_edges
     return (half_inv_nu, (wt.vertex_weights / rho)[:, None] * y * half_inv_nu,
-            (0.5 / rho) * wt.edge_weights, np.empty((2, d, m)),
+            (0.5 / rho) * wt.edge_weights, np.zeros((2 * d + 1, m)),
             (g.slots.reshape(2, 1, m) * d + np.arange(d)[:, None]).ravel())
+
+
+def _gather(u, z, terms):
+    """u - z at the entries model.adjoint_Q sums, into terms (2d+1, m).
+
+    Rows [0, d) hold (u - z)[:, i, d] + (u - z)[:, d, i], rows [d, 2d) the
+    same at d + 1, ordered like g.slots, and row 2d (u - z)[:, d, d+1] +
+    (u - z)[:, d+1, d].  u and z are (m, d+2, d+2) of any strides.
+    """
+    d = u.shape[-1] - 2
+    for j, out in enumerate((terms[:d], terms[d : 2 * d]), d):
+        np.subtract(u[:, :d, j].T, z[:, :d, j].T, out=out)
+        out += u[:, j, :d].T
+        out -= z[:, j, :d].T
+    out = terms[2 * d]
+    np.subtract(u[:, d, d + 1], z[:, d, d + 1], out=out)
+    out += u[:, d + 1, d]
+    out -= z[:, d + 1, d]
+
+
+def _primal_solve(step):
+    """(x, ell) from the terms _gather wrote: one bincount sums them per vertex."""
+    half_inv_nu, wy, half_lam, terms, bins = step
+    d2 = 2 * wy.shape[1]
+    x = np.bincount(bins, terms[:d2].ravel(), wy.size).reshape(wy.shape) * half_inv_nu + wy
+    return x, 0.5 * terms[d2] + half_lam
 
 
 def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, step=None):
     """Closed-form minimizer of the augmented Lagrangian in (x, ell).
 
     u and z are (M, d+2, d+2) block fields of any strides, symmetric or not.
-    u - z is read once, at the entries model.adjoint_Q sums, into a (2, d, M)
-    buffer ordered like g.slots, and one bincount sums it per vertex and
-    component.  step holds the per-solve invariants; None computes them.
+    u - z is read once, at the entries model.adjoint_Q sums, and summed per
+    vertex and component.  step holds the per-solve invariants; None
+    computes them.
     """
-    half_inv_nu, wy, half_lam, terms, bins = _primal_step(y, wt, g, rho) if step is None else step
-    d = terms.shape[1]
-    for j, out in enumerate(terms, d):  # the first slots' terms, then the second slots'
-        np.subtract(u[:, :d, j].T, z[:, :d, j].T, out=out)
-        out += u[:, j, :d].T
-        out -= z[:, j, :d].T
-    x = np.bincount(bins, terms.ravel(), wy.size).reshape(wy.shape) * half_inv_nu + wy
-    return x, 0.5 * (u[:, d, d + 1] - z[:, d, d + 1] + u[:, d + 1, d] - z[:, d + 1, d]) + half_lam
+    step = _primal_step(y, wt, g, rho) if step is None else step
+    _gather(u, z, step[3])
+    return _primal_solve(step)
+
+
+def _chunks(z, basis, terms, lo: int, hi: int) -> list:
+    """Blocks lo:hi as chunks of at most smallsym.CHUNK blocks: views of z, the
+    basis and the terms, and of one projection buffer that the chunks share."""
+    k, size = z.shape[-1], smallsym.CHUNK
+    buf, cuts = np.empty(k * k * min(hi - lo, size)), [*range(lo, hi, size), hi]
+    return [(z[a:b], basis[a:b], buf[: k * k * (b - a)].reshape(k, k, b - a).transpose(2, 0, 1),
+             terms[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _project(chunks, iteration: int):
+    """Projects each chunk of z, subtracts it from z and gathers its u - z."""
+    for z, basis, u, terms in chunks:
+        project_shifted_psd(z, out=u, basis=basis, iteration=iteration)
+        z -= u
+        _gather(u, z, terms)
 
 
 def normalize_rows(x) -> np.ndarray:
@@ -149,31 +194,30 @@ def admm_solve(
     t0 = time.perf_counter()
     x = np.zeros((n, d))
     ell = np.zeros(m)
-    # The scaled dual and the projection, written in place every iteration,
-    # and the eigenvector basis that warm-starts a Jacobi projection, an
-    # identity at first; a projection on eigh leaves it alone.
+    # The scaled dual, written in place every iteration, and the eigenvector
+    # basis that warm-starts a Jacobi projection, an identity at first; a
+    # projection on eigh leaves it alone.
     z = np.zeros((k, k, m)).transpose(2, 0, 1)
-    u = np.zeros((k, k, m)).transpose(2, 0, 1)
     basis = np.eye(k)[:, :, None].repeat(m, axis=2).transpose(2, 0, 1)
-    # Their pieces along M, one per thread (numpy releases the GIL): views
-    # that the in-place updates keep current.
-    pieces = [np.array_split(a, parts) for a in (z, u, basis)]
     pool = ThreadPoolExecutor(max_workers=parts) if parts > 1 else nullcontext()
     obj_trace, dist_trace, res_trace = [], [], []
     it = 0
     res = np.inf
     with pool, np.errstate(over="ignore", invalid="ignore"):
-        step = _primal_step(y, wt, g, cfg.rho)
+        step = _primal_step(y, wt, g, cfg.rho)  # its terms, u - z, are 0 at first
+        # The pieces along M, one per thread (numpy releases the GIL), split
+        # as np.array_split splits, in chunks: views that stay current.
+        cuts = [i * (m // parts) + min(i, m % parts) for i in range(parts + 1)]
+        pieces = [_chunks(z, basis, step[3], lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         fan_out = pool.map if parts > 1 else map
         for it in range(1, cfg.max_iter + 1):
-            x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho, step)
+            x_new, ell_new = _primal_solve(step)
             res = residual((x, ell), (x_new, ell_new))
             x, ell = x_new, ell_new
             if not np.isfinite(res):
                 raise SolverDivergence(f"non-finite iterate at iteration {it}")
             model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
-            list(fan_out(functools.partial(project_shifted_psd, iteration=it), *pieces))
-            z -= u
+            list(fan_out(functools.partial(_project, iteration=it), pieces))
             if collect_trace:
                 obj_trace.append(model._objective_K(x, ell, y, wt))
                 dist_trace.append(model.mean_sphere_distance(x))

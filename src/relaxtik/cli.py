@@ -262,7 +262,8 @@ def _cmd_eval(args):
     xn = np.linalg.norm(x, axis=1)
     tn = np.linalg.norm(t, axis=1)
     safe = (xn > 1e-12) & (tn > 1e-12)
-    cosang = np.ones(x.shape[0])
+    # A collapsed row points nowhere: it scores 90 degrees, not 0.
+    cosang = np.zeros(x.shape[0])
     cosang[safe] = np.sum(x[safe] * t[safe], axis=1) / (xn[safe] * tn[safe])
     ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     metrics = {

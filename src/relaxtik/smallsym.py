@@ -10,8 +10,12 @@ slice of the result, seen as (k, k, m), diagonalized and rebuilt there
 as a clipped block.  The ADMM loop's batch is exactly symmetric, so a
 call from the loop gathers it with a plain copy: the same bits as the
 average of the two triangles, in about half the time (0.22 against 0.42
-ms on the 90x90 circle grid's 16,020 blocks).  The batch's shape (M, k)
-picks the eigensolver:
+ms on the 90x90 circle grid's 16,020 blocks).  The loop holds no whole
+projected field: it walks each thread's piece of its dual in chunks of
+CHUNK blocks and projects each chunk in its own call, into one buffer of
+at most a chunk.  The batch's shape (M, k) picks the eigensolver, so in
+the loop each chunk picks its own, and the remainder chunk of a piece
+longer than CHUNK runs on eigh when it is below JACOBI_MIN_BLOCKS:
 
 - M >= JACOBI_MIN_BLOCKS (511) and k <= JACOBI_MAX_DIM (6): cyclic
   Jacobi (`relaxtik.jacobi`), each rotation a few contiguous 1-D ufunc
@@ -71,7 +75,7 @@ MAX_DIM = 12
 JACOBI_MAX_DIM = 6
 JACOBI_MIN_BLOCKS = 511
 # Blocks per chunk: faster than one pass over the 90x90 grid's 16,020
-# blocks, and it bounds the work arrays' size.
+# blocks, and it bounds the work arrays' size and the ADMM loop's buffer.
 CHUNK = 8192
 
 

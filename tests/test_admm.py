@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,7 @@ from verify import (
     matrix_model_objective,
     matrix_rep_basis,
     solve_matrix_model,
+    solve_whole_field,
 )
 
 
@@ -245,28 +247,140 @@ def test_threaded_jacobi_solve_matches_one_thread(monkeypatch):
 
 def test_threaded_pieces_keep_their_buffers(monkeypatch):
     # Every iteration of a 2-thread solve maps the projection over two
-    # pieces each of the dual, the projection and the basis: the same
-    # adjacent slices of the same three buffers.
+    # pieces, each a list of chunks of at most CHUNK blocks: the same
+    # adjacent slices of the dual, the basis and the primal step's terms,
+    # and views of one projection buffer of the piece's own.
     calls = []
 
+    def layout(a):
+        return a.__array_interface__["data"][0], a.shape, a.strides, id(a.base)
+
     class RecordingPool(ThreadPoolExecutor):
-        def map(self, fn, *pieces):
-            calls.append((fn.keywords, [[(p.__array_interface__["data"][0], p.shape, p.strides,
-                                         id(p.base)) for p in buf] for buf in pieces]))
-            return super().map(fn, *pieces)
+        def map(self, fn, pieces):
+            calls.append((fn.keywords, [[tuple(map(layout, chunk)) for chunk in piece]
+                                        for piece in pieces]))
+            return super().map(fn, pieces)
 
     monkeypatch.setattr(admm, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(smallsym, "CHUNK", 1000)
     y, g, wt = circle_grid_problem(46, 6)
     admm_solve(y, g, wt, SolverConfig(max_iter=12, tol=0.0), n_threads=2)
     assert [kw for kw, _ in calls] == [{"iteration": it} for it in range(1, 13)]
-    layouts = calls[0][1]
-    assert all(seen == layouts for _, seen in calls)
-    assert len(layouts) == 3 and len({buf[0][3] for buf in layouts}) == 3
-    for (lo, lo_shape, lo_strides, lo_base), (hi, hi_shape, hi_strides, hi_base) in layouts:
-        assert lo_base == hi_base and lo_strides == hi_strides
-        assert lo_shape[1:] == hi_shape[1:] and lo_shape[0] + hi_shape[0] == g.m_edges
-        assert hi == lo + lo_shape[0] * lo_strides[0]
+    pieces = calls[0][1]
+    assert all(seen == pieces for _, seen in calls)
+    # 4140 blocks: two pieces of 2070, each in chunks of 1000, 1000 and 70
+    sizes = [[z[1][0] for z, *_ in piece] for piece in pieces]
+    assert sizes == [[1000, 1000, 70]] * 2
+    chunks = [chunk for piece in pieces for chunk in piece]
+    for field in (0, 1, 3):  # the dual, the basis, the terms
+        views = [chunk[field] for chunk in chunks]
+        assert len({base for *_, base in views}) == 1
+        for (lo, *_), (hi, *_), (z, *_) in zip(views, views[1:], chunks):
+            assert hi == lo + z[1][0] * 8
+    fields = {chunks[0][field][3] for field in (0, 1, 3)}
+    buffers = [{chunk[2][3] for chunk in piece} for piece in pieces]
+    assert len(fields) == 3 and all(len(b) == 1 for b in buffers)
+    assert len(set.union(fields, *buffers)) == 5
+    for z, _, u, _ in chunks:
+        assert u[1] == z[1] and u[2][0] == z[2][0] == 8
+    assert all(len({u[0] for _, _, u, _ in piece}) == 1 for piece in pieces)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_loop_projects_each_chunk_once_per_iteration(monkeypatch, n_threads):
+    # Each thread walks its piece in chunks of CHUNK blocks from the piece's
+    # start, and projects each chunk in one call: every block once an
+    # iteration.  A chunk picks its own eigensolver, so the 140-block
+    # remainder of one thread's walk runs on eigh.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(smallsym, "CHUNK", 1000)
+    calls, sizes = [], []
+
+    def recorded(blocks, out, basis, *, iteration):
+        start = blocks.__array_interface__["data"][0] - blocks.base.__array_interface__["data"][0]
+        calls.append((iteration, start // 8, len(blocks)))
+        return project(blocks, out=out, basis=basis, iteration=iteration)
+
+    def counted(s, *args, **kwargs):
+        sizes.append(s.shape[2])
+        return eig(s, *args, **kwargs)
+
+    project, eig = admm.project_shifted_psd, jacobi.eig
+    monkeypatch.setattr(admm, "project_shifted_psd", recorded)
+    monkeypatch.setattr(jacobi, "eig", counted)
+    y, g, wt = circle_grid_problem(46, 6)
+    admm_solve(y, g, wt, SolverConfig(max_iter=3, tol=0.0), n_threads=n_threads)
+    cuts = {1: [0, 1000, 2000, 3000, 4000, 4140],
+            2: [0, 1000, 2000, 2070, 3070, 4070, 4140]}[n_threads]
+    chunks = [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    assert cuts[-1] == g.m_edges
+    assert sorted(calls) == [(it, *chunk) for it in (1, 2, 3) for chunk in chunks]
+    assert sorted(sizes) == sorted(n for _, n in chunks if n >= smallsym.JACOBI_MIN_BLOCKS) * 3
+
+
+def test_solve_holds_two_block_fields(monkeypatch):
+    # The projection is never held whole.  A solve's traced peak fits the
+    # dual and the basis, the primal step's per-solve arrays, two iterates,
+    # and one chunk's projection buffer and scratch; a third block field
+    # (0.53 MB here) does not fit.
+    monkeypatch.setattr(smallsym, "CHUNK", 512)
+    y, g, wt = circle_grid_problem(46, 6)
+    cfg = SolverConfig(max_iter=10, tol=0.0)
+    admm_solve(y, g, wt, cfg)  # compiles jacobi's kernels outside the trace
+    rng = np.random.default_rng(0)
+    chunk = rng.standard_normal((4, 4, smallsym.CHUNK))
+    chunk = (chunk + chunk.transpose(1, 0, 2)).transpose(2, 0, 1)
+    out = np.empty_like(chunk)
+    basis = np.tile(np.eye(4), (smallsym.CHUNK, 1, 1))
+    tracemalloc.start()
+    try:
+        smallsym.project_shifted_psd(chunk, out=out, basis=basis, iteration=2)
+        scratch = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        admm_solve(y, g, wt, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = 4 * 4 * 8 * g.m_edges
+    step = sum(a.nbytes for a in admm._primal_step(y, wt, g, cfg.rho))
+    iterates = 2 * (y.nbytes + 8 * g.m_edges)
+    assert peak <= 2 * field + step + iterates + chunk.nbytes + scratch < 3 * field + step
+
+
+def test_solve_makes_no_blas_call(monkeypatch):
+    # A BLAS call such as np.vdot on grid-sized vectors wakes an OpenBLAS
+    # worker thread, which then spins on a second core for the whole solve.
+    called = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("dot", "vdot", "inner", "matmul"):
+        monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
+    y, g, wt = circle_grid_problem(90, 0)
+    res = admm_solve(y, g, wt, SolverConfig(max_iter=3, tol=0.0), collect_trace=True)
+    assert res.iterations == 3 and called == []
+
+
+@pytest.mark.parametrize("side,chunk", [(33, 1056), (15, 128)])
+def test_chunked_loop_matches_the_whole_field_loop(monkeypatch, side, chunk):
+    # 33x33 grid: 2112 blocks in two chunks, both on Jacobi; 15x15 grid: 420
+    # blocks in four chunks, all on eigh.  The reference projects the whole
+    # field in one call, which walks the same chunks on the same eigensolver.
+    monkeypatch.setattr(smallsym, "CHUNK", chunk)
+    y, g, wt = circle_grid_problem(side, 5)
+    assert (g.m_edges >= smallsym.JACOBI_MIN_BLOCKS) == (chunk >= smallsym.JACOBI_MIN_BLOCKS)
+    cfg = SolverConfig(rho=3.0, max_iter=2000, tol=1e-4)
+    res = admm_solve(y, g, wt, cfg)
+    x, ell, iterations = solve_whole_field(y, g, wt, cfg)
+    assert res.iterations == iterations < cfg.max_iter
+    assert np.array_equal(res.x, x) and np.array_equal(res.ell, ell)
 
 
 def test_each_thread_piece_picks_its_own_eigensolver(monkeypatch):

@@ -353,6 +353,16 @@ def test_eval_shape_mismatch(tmp_path):
     assert run(["eval", a, b]) == 2
 
 
+def test_eval_scores_a_collapsed_row_at_90_degrees(tmp_path):
+    result, truth = tmp_path / "result.csv", tmp_path / "truth.csv"
+    result.write_text("0,0\n1,0\n")
+    truth.write_text("1,0\n1,0\n")
+    assert run(["eval", result, truth, "--out", tmp_path / "m.json"]) == 0
+    metrics = json.loads((tmp_path / "m.json").read_text())
+    assert metrics["max_angular_error_deg"] == 90.0
+    assert metrics["mean_angular_error_deg"] == 45.0
+
+
 def test_hue_experiment_report(tmp_path):
     out = tmp_path / "hue"
     assert run(["experiment", "hue", "--height", 12, "--width", 12,

@@ -9,13 +9,16 @@
   the simplified model is PSD with rank d.
 - The brute-force oracle enumerates the nonconvex circle problem on tiny
   graphs, for tightness checks.
+- The whole-field loop runs the simplified model's ADMM with the
+  projection u held as a whole block field, to check the solver's loop,
+  which never holds it.
 """
 
 import itertools
 
 import numpy as np
 
-from relaxtik.admm import SolverConfig, SolverDivergence, residual
+from relaxtik.admm import SolverConfig, SolverDivergence, primal_update, residual
 from relaxtik.graph import Graph, Weights, degree_table
 from relaxtik.model import (SUPPORTED_DIMS, _check_ell, _check_signal, _objective_K, apply_Q,
                             objective_tikhonov)
@@ -33,6 +36,7 @@ __all__ = [
     "adjoint_P",
     "matrix_model_objective",
     "solve_matrix_model",
+    "solve_whole_field",
 ]
 
 
@@ -289,3 +293,31 @@ def solve_matrix_model(y, g: Graph, wt: Weights, cfg: SolverConfig, variant: str
         if res < cfg.tol:
             break
     return x, r
+
+
+def solve_whole_field(y, g: Graph, wt: Weights, cfg: SolverConfig):
+    """The simplified model's ADMM on one thread, with a whole projection field.
+
+    Each iteration calls the public primal_update on u and z, adds the new
+    blocks to z, projects all of z into u in one call and does z -= u.
+    admm_solve should give the same bits wherever every one of its chunks
+    takes the eigensolver that this one call takes.  Returns (x, ell,
+    iterations).
+    """
+    y = _check_signal(y, g)
+    (n, d), m = y.shape, g.m_edges
+    x, ell = np.zeros((n, d)), np.zeros(m)
+    z = np.zeros((d + 2, d + 2, m)).transpose(2, 0, 1)
+    u = np.zeros((d + 2, d + 2, m)).transpose(2, 0, 1)
+    basis = np.eye(d + 2)[:, :, None].repeat(m, axis=2).transpose(2, 0, 1)
+    it = 0
+    for it in range(1, cfg.max_iter + 1):
+        x_new, ell_new = primal_update(u, z, y, wt, g, cfg.rho)
+        res = residual((x, ell), (x_new, ell_new))
+        x, ell = x_new, ell_new
+        apply_Q(x, ell, g, add_to=z)
+        project_shifted_psd(z, out=u, basis=basis, iteration=it)
+        z -= u
+        if res < cfg.tol:
+            break
+    return x, ell, it
