@@ -82,10 +82,13 @@ class DenoiseResult:
 
 def residual(prev, new) -> float:
     """2-norm of the concatenated change of (x, ell) between iterates."""
-    dx, dl = np.subtract(new[0], prev[0]).ravel(), np.subtract(new[1], prev[1]).ravel()
-    # einsum, not a BLAS dot such as np.vdot, which wakes an OpenBLAS worker
-    # thread that then spins on a second core for the rest of the solve.
-    return math.sqrt(np.einsum("i,i->", dx, dx) + np.einsum("i,i->", dl, dl))
+    dx, dl = np.subtract(new[0], prev[0]), np.subtract(new[1], prev[1])
+    # Squares and a numpy sum, not a BLAS dot such as np.vdot, which wakes an
+    # OpenBLAS worker thread that then spins on a second core for the rest
+    # of the solve, nor einsum, which parses its subscripts on every call.
+    dx *= dx
+    dl *= dl
+    return math.sqrt(dx.sum() + dl.sum())
 
 
 def _primal_step(y, wt: Weights, g: Graph, rho: float):

@@ -75,7 +75,7 @@ _TINY = np.finfo(float).tiny
 def eig(s: np.ndarray, work: np.ndarray, basis: np.ndarray, *, iteration: int | None = None):
     """Eigenpairs of the symmetric (k, k, m) stack s, which is left as it
     is, for a clip at -1: values lam (k, m) and a mask of the blocks done.
-    work is (k, k, m) scratch.
+    work is (k, k, m) scratch, apart from s.
 
     basis is a (k, k, m) stack whose row basis[c] is vector c of every
     block: an identity, or a previous call's basis.  The sweeps start from

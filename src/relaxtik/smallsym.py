@@ -5,17 +5,21 @@ C = {A : A = A^T, A >= -I} by clipping its eigenvalues at -1.  Functions
 accept a single (k, k) matrix or a batch of shape (M, k, k) with k in 2..12.
 
 There is one clip and two eigensolvers.  The batch runs CHUNK (8192)
-blocks at a time: the symmetric part of a chunk is gathered into its
-slice of the result, seen as (k, k, m), diagonalized and rebuilt there
-as a clipped block.  The ADMM loop's batch is exactly symmetric, so a
-call from the loop gathers it with a plain copy: the same bits as the
-average of the two triangles, in about half the time (0.22 against 0.42
-ms on the 90x90 circle grid's 16,020 blocks).  The loop holds no whole
-projected field: it walks each thread's piece of its dual in chunks of
-CHUNK blocks and projects each chunk in its own call, into one buffer of
-at most a chunk.  The batch's shape (M, k) picks the eigensolver, so in
-the loop each chunk picks its own, and the remainder chunk of a piece
-longer than CHUNK runs on eigh when it is below JACOBI_MIN_BLOCKS:
+blocks at a time, each seen as a (k, k, m) stack S.  Jacobi's rotated
+block W = V^T S V is built in one chunk-sized array, and the clipped
+block P is then rebuilt over it (below).  The ADMM loop's batch, its
+dual z, is exactly symmetric, so a call from the loop reads S in place
+and leaves it as it was, since the loop's z -= u needs it, and builds W
+and P in the result's slice: such a call holds no other chunk-sized
+array.  A public call gathers the symmetric part of a chunk into the
+result's slice, builds W and P in a temporary, whose rows are contiguous
+whatever the result's layout, and copies P back.  The loop holds no
+whole projected field: it walks each thread's piece of its dual in
+chunks of CHUNK blocks and projects each chunk in its own call, into one
+buffer of at most a chunk.  The batch's shape (M, k) picks the
+eigensolver, so in the loop each chunk picks its own, and the remainder
+chunk of a piece longer than CHUNK runs on eigh when it is below
+JACOBI_MIN_BLOCKS:
 
 - M >= JACOBI_MIN_BLOCKS (511) and k <= JACOBI_MAX_DIM (6): cyclic
   Jacobi (`relaxtik.jacobi`), each rotation a few contiguous 1-D ufunc
@@ -52,18 +56,23 @@ against eigh's 7.1 (measured before the split).
 
 The clip changes only the eigenvalues below -1, so a chunk is rebuilt as
 
-    P = A + G G^T,   G = V_below sqrt(-1 - lambda_below),
+    P = S + G G^T,   G = V_below sqrt(-1 - lambda_below),
 
 one outer product per eigenvector column that is below -1 in some block;
-columns a block does not need get a zero weight.  Both eigensolvers put
-each block's eigenpairs below -1 in its leading columns (LAPACK sorts
-ascending, and `jacobi.eig` permutes them there), so the sum stops at
-the first column that no block needs.  Jacobi may leave the other
-columns only an orthonormal basis of the rest of a block, whose Rayleigh
-matrix it has certified >= -1 (its split path): the clip leaves that part
-as it is, so P is the same.  An outer product g g^T holds g_i g_j at
-(i, j) and g_j g_i at (j, i), which are the same float, so P is exactly
-symmetric.
+columns a block does not need get a zero weight.  The first is written
+over W, which is spent by then, and S is added to it; each later one
+goes through a row block of at most k * CHUNK doubles, whole blocks for
+a short chunk and one row of them at a time for a full one.  Addition
+commutes in IEEE arithmetic, so this gives the bits of S plus the outer
+products in turn.  A chunk with no eigenvalue below -1 is a copy of S.
+Both eigensolvers put each block's eigenpairs below -1 in its leading
+columns (LAPACK sorts ascending, and `jacobi.eig` permutes them there),
+so the sum stops at the first column that no block needs.  Jacobi may
+leave the other columns only an orthonormal basis of the rest of a
+block, whose Rayleigh matrix it has certified >= -1 (its split path):
+the clip leaves that part as it is, so P is the same.  An outer product
+g g^T holds g_i g_j at (i, j) and g_j g_i at (j, i), which are the same
+float, so P is exactly symmetric.
 """
 
 import numpy as np
@@ -92,12 +101,16 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
     shape holding each block's eigenvectors as rows (an identity, or a
     previous call's), starts the sweeps and receives the eigenvectors
     found; without it they start from an identity.  The eigh path leaves
-    `basis` alone.  `iteration`, the ADMM loop's iteration number, is for
-    the loop alone: `a` must then be exactly symmetric, and is gathered as
-    a plain copy, and `basis` is re-orthonormalized on the cadence of
+    `basis` alone.  The symmetric part of `a` is gathered into the result,
+    and W and P are built in a temporary, so `out` may be `a`.
+    `iteration`, the ADMM loop's iteration number, is for the loop alone:
+    `a` must then be exactly symmetric, and is read in place and left as
+    it is, while W and P are built in the result, so `out` must not
+    overlap it; and `basis` is re-orthonormalized on the cadence of
     `relaxtik.jacobi.eig` rather than on every call.  Raises ValueError
     for anything but a finite square (k, k) or (M, k, k) array with
-    2 <= k <= 12, or an `out` or `basis` unlike it.
+    2 <= k <= 12, for an `out` or `basis` unlike it, or for a loop call's
+    `out` that overlaps `a`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -111,26 +124,29 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
     for b in (out, basis):
         if b is not None and (b.shape != a.shape or b.dtype != float):
             raise ValueError("out and basis must be float arrays of the input's shape")
+    if iteration is not None and out is not None and np.may_share_memory(out, a):
+        raise ValueError("a loop call reads its input in place: out must not overlap it")
     batch = a.reshape(-1, k, k)
     jacobi = k <= JACOBI_MAX_DIM and len(batch) >= JACOBI_MIN_BLOCKS
     if jacobi:
         from relaxtik.jacobi import eig  # compiled only where it runs
     p = np.empty_like(batch) if out is None else out.reshape(batch.shape)
     v = basis.reshape(batch.shape) if basis is not None else None
-    w_buf = np.empty(k * k * min(len(batch), CHUNK))
     for lo in range(0, len(batch), CHUNK):
-        c = batch[lo : lo + CHUNK]
-        s = p[lo : lo + CHUNK].transpose(1, 2, 0)
-        w = w_buf[: c.size].reshape(s.shape)
+        c = batch[lo : lo + CHUNK].transpose(1, 2, 0)
+        pc = p[lo : lo + CHUNK].transpose(1, 2, 0)
         if iteration is None:
-            # The symmetric part: eigh reads one triangle only.
-            np.add(c.transpose(1, 2, 0), c.transpose(2, 1, 0), out=s)
+            # S, the symmetric part (eigh reads one triangle only), goes in
+            # the result, and W and then P in a temporary, whose rows are
+            # contiguous whatever the result's layout.
+            s, w = pc, np.empty(pc.shape)
+            np.add(c, c.transpose(1, 0, 2), out=s)
             s *= 0.5
         else:
-            s[...] = c.transpose(1, 2, 0)
+            s, w = c, pc
         if jacobi:
             if v is None:
-                vt = np.eye(k)[:, :, None].repeat(len(c), axis=2)
+                vt = np.eye(k)[:, :, None].repeat(s.shape[2], axis=2)
             else:
                 vt = v[lo : lo + CHUNK].transpose(1, 2, 0)
             lam, converged = eig(s, w, vt, iteration=iteration)
@@ -139,20 +155,42 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
                 lam[:, idx], vt[:, :, idx] = _eigh(s[:, :, idx])
         else:
             lam, vt = _eigh(s)
-        h, g = np.empty(len(c)), np.empty((k, len(c)))
-        for col in range(k):
-            np.subtract(-1.0, lam[col], out=h)
-            if h.max() <= 0.0:
-                break
-            np.maximum(h, 0.0, out=h)
-            np.sqrt(h, out=h)
-            np.multiply(vt[col], h, out=g)
-            # Outer products, not a BLAS G @ G^T, whose kernels may sum
-            # entries (i, j) and (j, i) differently and break the symmetry.
-            np.multiply(g[:, None], g, out=w)
-            s += w
+        _clip(w, s, lam, vt)
+        if w is not pc:
+            pc[...] = w
         del lam, vt  # freed before the next chunk makes its own: a lower peak
     return p.reshape(a.shape) if out is None else out
+
+
+def _clip(p: np.ndarray, s: np.ndarray, lam: np.ndarray, vt: np.ndarray):
+    """p <- s + G G^T (module docstring), for the (k, k, m) stack s with
+    eigenvalues lam (k, m) and eigenvectors as rows vt; p, of s's shape,
+    holds scratch on entry."""
+    k, _, m = s.shape
+    h, g, rows = np.empty(m), np.empty((k, m)), None
+    for col in range(k):
+        np.subtract(-1.0, lam[col], out=h)
+        if h.max() <= 0.0:
+            break
+        np.maximum(h, 0.0, out=h)
+        np.sqrt(h, out=h)
+        np.multiply(vt[col], h, out=g)
+        # Outer products, not a BLAS G @ G^T, whose kernels may sum
+        # entries (i, j) and (j, i) differently and break the symmetry.
+        if col == 0:
+            np.multiply(g[:, None], g, out=p)
+            p += s
+            continue
+        if rows is None:
+            # At most k * CHUNK doubles: whole blocks for a short chunk,
+            # one row of them at a time for a full one.
+            rows = np.empty((min(k, CHUNK // m), k, m))
+        for i in range(0, k, len(rows)):
+            r = rows[: k - i]
+            np.multiply(g[i : i + len(r), None], g, out=r)
+            p[i : i + len(r)] += r
+    if col == 0:  # k >= 2, so the loop stopped before any column: P = S
+        p[...] = s
 
 
 def _eigh(s: np.ndarray):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -509,3 +510,78 @@ def test_a_call_moves_the_pairs_below_minus_one_to_the_leading_slots(monkeypatch
     assert (rayleigh[:, :n_below] < -1.0).all() and (rayleigh[:, n_below:] > -1.0).all()
     assert_clip_with_orthonormal_basis(b, project_shifted_psd(b, basis=basis), basis)
     assert counter.after_the_first_sweep(1) == leading_pivots(k, n_below)
+
+
+def test_a_loop_call_rejects_an_out_that_overlaps_its_input():
+    # A loop call reads the batch in place while it builds W in out.
+    rng = np.random.default_rng(1200)
+    a = block_axis_fastest(random_sym(rng, 4, batch=smallsym.JACOBI_MIN_BLOCKS))
+    before = a.copy()
+    for out in (a, a[::-1]):
+        with pytest.raises(ValueError, match="overlap"):
+            project_shifted_psd(a, out=out, iteration=1)
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("path, k", on_both_paths([4]))
+def test_a_public_call_projects_in_place(path, k, on_path):
+    rng = np.random.default_rng(1300 + k)
+    a = block_axis_fastest(on_path(path, rng.standard_normal((200, k, k))))
+    expected = project_shifted_psd(a)
+    assert project_shifted_psd(a, out=a) is a
+    assert np.array_equal(a, expected)
+
+
+def blocks_with_ranks(rng, k, n, most):
+    """n exactly symmetric random-basis blocks whose counts of eigenvalues
+    below -1 cycle through 0..most."""
+    v = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    lam = rng.uniform(-0.95, 3.0, (n, k))
+    below = np.arange(k) < (np.arange(n) % (most + 1))[:, None]
+    lam[below] = rng.uniform(-4.0, -1.05, np.count_nonzero(below))
+    return symmetrize((v * lam[:, None, :]) @ v.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("case", ["jacobi-full-chunk", "eigh", "lapack-fallback", "none-below"])
+def test_a_loop_call_reads_its_input_in_place_and_gives_the_public_bits(monkeypatch, case):
+    # The loop call reads S from its input, builds W and then P in out, and
+    # leaves the input as it was.  A full chunk of side 4 with two columns
+    # below -1 rebuilds through one row at a time, a short one through
+    # whole blocks; after one sweep most blocks go to LAPACK; with nothing
+    # below -1, P is S.
+    rng = np.random.default_rng(1400)
+    n, most = {"jacobi-full-chunk": (smallsym.CHUNK, 2), "eigh": (300, 2),
+               "lapack-fallback": (smallsym.JACOBI_MIN_BLOCKS, 2), "none-below": (300, 0)}[case]
+    a = block_axis_fastest(blocks_with_ranks(rng, 4, n, most))
+    assert np.array_equal(a, a.swapaxes(-1, -2))
+    if case == "lapack-fallback":
+        monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1)
+    counter = EighCounter(monkeypatch)
+    before = a.copy()
+    loop, public = identity_basis(n, 4), identity_basis(n, 4)
+    out = block_axis_fastest(np.full(a.shape, np.nan))
+    project_shifted_psd(a, out=out, basis=loop, iteration=1)
+    assert counter.calls == (0 if case == "jacobi-full-chunk" else 1)
+    assert np.array_equal(a, before)
+    assert np.array_equal(out, project_shifted_psd(a, basis=public))
+    assert np.array_equal(loop, public)
+    assert np.abs(out - eigen_clip(a)).max() < 1e-12
+
+
+def test_a_loop_call_holds_one_chunk_sized_array():
+    # A full chunk of side 4, stored as in the loop.  Its scratch is
+    # jacobi's work rows and the rebuild's row block, below 1.5 chunk-sizes;
+    # a second chunk-sized array would take it past 2.
+    n, k = smallsym.CHUNK, 4
+    rng = np.random.default_rng(1500)
+    a = block_axis_fastest(blocks_with_ranks(rng, k, n, 2))
+    out = block_axis_fastest(np.empty(a.shape))
+    basis = block_axis_fastest(identity_basis(n, k))
+    project_shifted_psd(a, out=out, basis=basis.copy(), iteration=1)  # imports jacobi
+    tracemalloc.start()
+    try:
+        project_shifted_psd(a, out=out, basis=basis, iteration=1)
+        scratch = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scratch < 1.5 * a.nbytes
