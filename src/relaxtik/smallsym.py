@@ -6,17 +6,17 @@ accept a single (k, k) matrix or a batch of shape (M, k, k) with k in 2..12.
 
 There is one clip and two eigensolvers.  The batch runs CHUNK (8192)
 blocks at a time, each seen as a (k, k, m) stack S.  Jacobi's rotated
-block W = V^T S V is built in one chunk-sized array, and the clipped
-block P is then rebuilt over it (below).  The ADMM loop's batch, its
-dual z, is exactly symmetric, so a call from the loop reads S in place
-and leaves it as it was, since the loop's z -= u needs it, and builds W
-and P in the result's slice: such a call holds no other chunk-sized
-array.  A public call gathers the symmetric part of a chunk into the
-result's slice, builds W and P in a temporary, whose rows are contiguous
-whatever the result's layout, and copies P back.  The loop holds no
-whole projected field: it walks each thread's piece of its dual in
-chunks of CHUNK blocks and projects each chunk in its own call, into one
-buffer of at most a chunk.  The batch's shape (M, k) picks the
+block W = V^T S V is built in the result's slice of the chunk, and the
+clipped block P is then rebuilt over it (below).  The ADMM loop's batch,
+its dual z, is exactly symmetric, so a call from the loop reads S in
+place and leaves it as it was, since the loop's z -= u needs it.  A
+public call averages the two triangles of a chunk into a temporary S,
+so its result may be its input.  Besides the result and S, a call holds
+the rebuild's row block of at most k * CHUNK doubles, which is a whole
+chunk's worth only for a chunk of at most CHUNK / k blocks.  The loop
+holds no whole projected field: it walks each thread's piece of its dual
+in chunks of CHUNK blocks and projects each chunk in its own call, into
+one buffer of at most a chunk.  The batch's shape (M, k) picks the
 eigensolver, so in the loop each chunk picks its own, and the remainder
 chunk of a piece longer than CHUNK runs on eigh when it is below
 JACOBI_MIN_BLOCKS:
@@ -95,22 +95,21 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
 
     Clips the eigenvalues at -1: V max(Sigma, -1) V^T, rebuilt as in the
     module docstring, on the path the module docstring names for the
-    batch's shape.  The result is exactly symmetric; with `out`, a float
-    array of a's shape (fastest when stored (k, k, M)), it is built there and
-    `out` is returned.  On the Jacobi path `basis`, a float array of a's
-    shape holding each block's eigenvectors as rows (an identity, or a
-    previous call's), starts the sweeps and receives the eigenvectors
-    found; without it they start from an identity.  The eigh path leaves
-    `basis` alone.  The symmetric part of `a` is gathered into the result,
-    and W and P are built in a temporary, so `out` may be `a`.
-    `iteration`, the ADMM loop's iteration number, is for the loop alone:
-    `a` must then be exactly symmetric, and is read in place and left as
-    it is, while W and P are built in the result, so `out` must not
-    overlap it; and `basis` is re-orthonormalized on the cadence of
-    `relaxtik.jacobi.eig` rather than on every call.  Raises ValueError
-    for anything but a finite square (k, k) or (M, k, k) array with
-    2 <= k <= 12, for an `out` or `basis` unlike it, or for a loop call's
-    `out` that overlaps `a`.
+    batch's shape.  The result is exactly symmetric.  It is built in
+    `out`, a float array of a's shape (fastest when stored (k, k, M)),
+    which is returned, or else in a new array stored (k, k, M).  On the Jacobi path `basis`,
+    a float array of a's shape holding each block's eigenvectors as rows
+    (an identity, or a previous call's), starts the sweeps and receives
+    the eigenvectors found; without it they start from an identity.  The
+    eigh path leaves `basis` alone.  W and then P are built in the result.
+    The symmetric part S of `a` is averaged into a temporary, so `out`
+    may be `a`.  `iteration`, the ADMM loop's iteration number, is for the
+    loop alone: `a` must then be exactly symmetric, and is read in place
+    as S and left as it is, so `out` must not overlap it; and `basis` is
+    re-orthonormalized on the cadence of `relaxtik.jacobi.eig` rather than
+    on every call.  Raises ValueError for anything but a finite square
+    (k, k) or (M, k, k) array with 2 <= k <= 12, for an `out` or `basis`
+    unlike it, or for a loop call's `out` that overlaps `a`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -130,36 +129,34 @@ def project_shifted_psd(a: np.ndarray, out: np.ndarray | None = None,
     jacobi = k <= JACOBI_MAX_DIM and len(batch) >= JACOBI_MIN_BLOCKS
     if jacobi:
         from relaxtik.jacobi import eig  # compiled only where it runs
-    p = np.empty_like(batch) if out is None else out.reshape(batch.shape)
+    if out is None:
+        out = np.empty((k, k, len(batch))).transpose(2, 0, 1).reshape(a.shape)
+    p = out.reshape(batch.shape)
     v = basis.reshape(batch.shape) if basis is not None else None
     for lo in range(0, len(batch), CHUNK):
         c = batch[lo : lo + CHUNK].transpose(1, 2, 0)
         pc = p[lo : lo + CHUNK].transpose(1, 2, 0)
         if iteration is None:
-            # S, the symmetric part (eigh reads one triangle only), goes in
-            # the result, and W and then P in a temporary, whose rows are
-            # contiguous whatever the result's layout.
-            s, w = pc, np.empty(pc.shape)
-            np.add(c, c.transpose(1, 0, 2), out=s)
+            # S, the symmetric part (eigh reads one triangle only), in a
+            # temporary, so the result may be the input.
+            s = np.add(c, c.transpose(1, 0, 2), out=np.empty(c.shape))
             s *= 0.5
         else:
-            s, w = c, pc
+            s = c
         if jacobi:
             if v is None:
                 vt = np.eye(k)[:, :, None].repeat(s.shape[2], axis=2)
             else:
                 vt = v[lo : lo + CHUNK].transpose(1, 2, 0)
-            lam, converged = eig(s, w, vt, iteration=iteration)
+            lam, converged = eig(s, pc, vt, iteration=iteration)
             if not converged.all():
                 idx = np.flatnonzero(~converged)
                 lam[:, idx], vt[:, :, idx] = _eigh(s[:, :, idx])
         else:
             lam, vt = _eigh(s)
-        _clip(w, s, lam, vt)
-        if w is not pc:
-            pc[...] = w
+        _clip(pc, s, lam, vt)
         del lam, vt  # freed before the next chunk makes its own: a lower peak
-    return p.reshape(a.shape) if out is None else out
+    return out
 
 
 def _clip(p: np.ndarray, s: np.ndarray, lam: np.ndarray, vt: np.ndarray):
