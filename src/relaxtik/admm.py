@@ -72,8 +72,8 @@ class DenoiseResult:
     objective_K: float
     mean_sphere_distance: float
     wall_time_seconds: float
-    # 1-based ids of vertices whose iterate collapsed to (near) zero and was
-    # therefore left unretracted.
+    # 1-based ids of vertices whose iterate collapsed to (near) zero, which
+    # cfg.retract leaves as they are.
     collapsed_vertices: list = field(default_factory=list)
     objective_trace: np.ndarray | None = None
     sphere_distance_trace: np.ndarray | None = None
@@ -131,15 +131,14 @@ def _primal_solve(step):
     return x, 0.5 * terms[d2] + half_lam
 
 
-def primal_update(u, z, y, wt: Weights, g: Graph, rho: float, step=None):
+def primal_update(u, z, y, wt: Weights, g: Graph, rho: float):
     """Closed-form minimizer of the augmented Lagrangian in (x, ell).
 
     u and z are (M, d+2, d+2) block fields of any strides, symmetric or not.
     u - z is read once, at the entries model.adjoint_Q sums, and summed per
-    vertex and component.  step holds the per-solve invariants; None
-    computes them.
+    vertex and component.
     """
-    step = _primal_step(y, wt, g, rho) if step is None else step
+    step = _primal_step(y, wt, g, rho)
     _gather(u, z, step[3])
     return _primal_solve(step)
 
@@ -178,12 +177,13 @@ def admm_solve(
     """Run the ADMM scheme from zero initialization.
 
     Stops when the 2-norm change of (x, ell) between iterations drops below
-    cfg.tol, or after cfg.max_iter iterations.  With cfg.retract the output
-    signal is normalized onto the sphere; near-zero vectors are left alone
-    and reported in collapsed_vertices.  At most os.cpu_count() of the
-    n_threads are used.  Raises SolverDivergence at the
-    first iteration whose (x, ell) is not finite; numpy's floating-point
-    warnings on the way there are silenced, since the exception reports it.
+    cfg.tol, or after cfg.max_iter iterations.  Rows of x with norm below
+    1e-12 are reported in collapsed_vertices; cfg.retract normalizes the
+    other rows onto the sphere.  With collect_trace each iteration records
+    one (objective, sphere distance, residual) row.  At most os.cpu_count()
+    of the n_threads are used.  Raises SolverDivergence at the first
+    iteration whose (x, ell) is not finite; numpy's floating-point warnings
+    on the way there are silenced, since the exception reports it.
     """
     wt.check_graph(g)
     y = model._check_signal(y, g)
@@ -203,7 +203,7 @@ def admm_solve(
     z = np.zeros((k, k, m)).transpose(2, 0, 1)
     basis = np.eye(k)[:, :, None].repeat(m, axis=2).transpose(2, 0, 1)
     pool = ThreadPoolExecutor(max_workers=parts) if parts > 1 else nullcontext()
-    obj_trace, dist_trace, res_trace = [], [], []
+    trace = []
     it = 0
     res = np.inf
     with pool, np.errstate(over="ignore", invalid="ignore"):
@@ -222,18 +222,16 @@ def admm_solve(
             model.apply_Q(x, ell, g, add_to=z)  # z + Q(x, ell) - I, in z
             list(fan_out(functools.partial(_project, iteration=it), pieces))
             if collect_trace:
-                obj_trace.append(model._objective_K(x, ell, y, wt))
-                dist_trace.append(model.mean_sphere_distance(x))
-                res_trace.append(res)
+                trace.append((model._objective_K(x, ell, y, wt),
+                              model.mean_sphere_distance(x), res))
             if res < cfg.tol:
                 break
 
     obj = model.objective_K(x, ell, y, wt, g)
     dist = model.mean_sphere_distance(x)
-    collapsed = []
-    if cfg.retract:
-        collapsed = [int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) < 1e-12)]
-        x = normalize_rows(x)
+    collapsed = [int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) < 1e-12)]
+    x = normalize_rows(x) if cfg.retract else x
+    obj_trace, dist_trace, res_trace = np.array(trace).T if collect_trace else [None] * 3
     return DenoiseResult(
         x=x,
         ell=ell,
@@ -243,7 +241,7 @@ def admm_solve(
         mean_sphere_distance=dist,
         wall_time_seconds=time.perf_counter() - t0,
         collapsed_vertices=collapsed,
-        objective_trace=np.asarray(obj_trace) if collect_trace else None,
-        sphere_distance_trace=np.asarray(dist_trace) if collect_trace else None,
-        residual_trace=np.asarray(res_trace) if collect_trace else None,
+        objective_trace=obj_trace,
+        sphere_distance_trace=dist_trace,
+        residual_trace=res_trace,
     )

@@ -61,7 +61,7 @@ def _build_parser():
     d.add_argument("input", help="CSV signal, rotation rows, or PPM image")
     d.add_argument("--graph", default=None,
                    help="line | grid:HxW | edgelist:<path> "
-                        "(image modes infer the grid from the image)")
+                        "(sphere and so3 modes; image modes use the pixel grid)")
     d.add_argument("--mode", choices=pipeline.KINDS, default="sphere")
     d.add_argument("--d", type=int, choices=(2, 3, 4), default=None,
                    help="signal dimension (sphere mode; inferred from the file)")
@@ -164,7 +164,9 @@ _DENOISE_DEFAULTS = {**vars(SolverConfig()),
 
 def _write_run(outdir, res, report, signals, images):
     """Make outdir, only now so that a failed command leaves none, and write
-    each signal (name: (writer, array)), each image as PPM, trace and report."""
+    each signal (name: (writer, array)), each image as PPM, trace.csv from
+    res's trace, and report.json: the command's own keys in report plus the
+    solve facts of res that every command reports."""
     os.makedirs(outdir, exist_ok=True)
     for name, (write, x) in signals.items():
         write(os.path.join(outdir, name), x)
@@ -174,16 +176,25 @@ def _write_run(outdir, res, report, signals, images):
                             res.sphere_distance_trace, res.residual_trace])
     np.savetxt(os.path.join(outdir, "trace.csv"), rows, fmt="%.17g", delimiter=",",
                header="iteration,objective,sphere_distance,residual", comments="")
-    fileio.write_report(os.path.join(outdir, "report.json"), report)
+    fileio.write_report(os.path.join(outdir, "report.json"), {
+        **report, "iterations": res.iterations, "final_residual": res.final_residual,
+        "mean_sphere_distance": res.mean_sphere_distance,
+        "wall_time_seconds": res.wall_time_seconds})
 
 
 def _cmd_denoise(args):
+    image = args.mode in ("hue", "chroma")
+    stray = [flag for flag, unused in (("--graph", image and args.graph is not None),
+                                       ("--d", args.mode != "sphere" and args.d is not None))
+             if unused]
+    if stray:
+        raise ValueError(f"mode {args.mode} takes no {', '.join(stray)}")
     file_cfg = _load_config_file(args.config)
     cfg = _merged(args, file_cfg, _DENOISE_DEFAULTS)
     solver = SolverConfig(rho=cfg["rho"], max_iter=cfg["max_iter"], tol=cfg["tol"],
                           retract=cfg["retract"])
 
-    if args.mode in ("hue", "chroma"):
+    if image:
         data = fileio.read_ppm(args.input)
         g = grid_graph(*data.shape[:2])
     else:
@@ -207,11 +218,7 @@ def _cmd_denoise(args):
         "mode": args.mode,
         "input": args.input,
         "config": dict(cfg),  # may include weights read from the edge list
-        "iterations": res.iterations,
-        "final_residual": res.final_residual,
         "objective": res.objective_K,
-        "mean_sphere_distance": res.mean_sphere_distance,
-        "wall_time_seconds": res.wall_time_seconds,
         "threads": int(cfg["threads"]),
         "collapsed_vertices": res.collapsed_vertices,
     }
@@ -222,7 +229,7 @@ def _cmd_denoise(args):
         if ctx.violations:
             report["lift_violations"] = ctx.violations
         signal = (fileio.write_rotations, decoded)
-    images = {"denoised": decoded} if args.mode in ("hue", "chroma") else {}
+    images = {"denoised": decoded} if image else {}
     _write_run(args.outdir, res, report, {"signal.csv": signal}, images)
     return 0
 
@@ -240,8 +247,11 @@ def _cmd_experiment(args):
     csv = fileio.write_signal_csv
     signals = {"signal.csv": (csv, report.denoised), "truth.csv": (csv, report.truth),
                "noisy.csv": (csv, report.noisy)}
-    _write_run(args.outdir, report.result, {**report.summary_dict(), "threads": threads},
-               signals, report.images)
+    summary = {"name": args.name, "config": report.config, "rmse": report.rmse,
+               "threads": threads}
+    if report.lifting_consistent is not None:
+        summary["lifting_consistent"] = report.lifting_consistent
+    _write_run(args.outdir, report.result, summary, signals, report.images)
     print(
         f"{args.name}: {report.result.iterations} iterations, "
         f"rmse {report.rmse:.6g}, "

@@ -85,21 +85,6 @@ class ExperimentReport:
     # Color experiments: "image", "noisy_image" and "denoised_image".
     images: dict = field(default_factory=dict)
 
-    def summary_dict(self) -> dict:
-        """JSON-ready content (config echo plus scalar metrics)."""
-        out = {
-            "name": self.name,
-            "config": dict(self.config),
-            "iterations": self.result.iterations,
-            "wall_time_seconds": self.result.wall_time_seconds,
-            "rmse": self.rmse,
-            "mean_sphere_distance": self.result.mean_sphere_distance,
-            "final_residual": self.result.final_residual,
-        }
-        if self.lifting_consistent is not None:
-            out["lifting_consistent"] = self.lifting_consistent
-        return out
-
 
 def run_experiment(
     name: str,

@@ -54,12 +54,6 @@ class So3NoiseParams:
             raise ValueError("concentrations must be nonnegative")
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _vmf_w(kappa: float, d: int, count: int, rng) -> np.ndarray:
     """Cosine-against-the-mean marginal of vMF on S^(d-1), d >= 3.
 
@@ -128,7 +122,7 @@ def add_vmf_noise(x: np.ndarray, kappa: float, rng_seed) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     return _vmf_rows(x, kappa, rng)
 
 
@@ -192,7 +186,7 @@ def smooth_circle_field(height: int, width: int, seed):
     """
     g = grid_graph(height, width)
     n = g.n_vertices
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     f = _fourier_field(height, width, 1, rng).reshape(n)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
     bound = np.deg2rad(MAX_STEP_DEG)
@@ -216,7 +210,7 @@ def _sphere_field(height, width, d, seed, bound_deg):
     n = g.n_vertices
     if d < 2:
         raise ValueError("d must be at least 2")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     raw = _fourier_field(height, width, d, rng).reshape(n, d)
     base = _uniform_sphere(1, d, rng)[0]
     return _bound_unit_path(raw, g, base, np.deg2rad(bound_deg))
@@ -243,7 +237,7 @@ def perturb_so3_signal(rs: np.ndarray, p: So3NoiseParams, seed) -> np.ndarray:
     Near the identity the axis is undefined and drawn uniformly.  Each
     law is drawn once for the whole stack, from one rng.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     axis, alpha = rotation_to_axis_angle(rs)
     near = alpha < 1e-8
     if near.any():
@@ -346,7 +340,7 @@ def smooth_color_image(height: int, width: int, seed) -> np.ndarray:
     """
     if height < 2 or width < 2:
         raise ValueError("image must be at least 2 x 2")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     hue = smooth_circle_field(height, width, rng).reshape(height, width, 2)
     sv = _fourier_field(height, width, 2, rng)
     sv = sv / max(np.abs(sv).max(), 1.0)

@@ -573,6 +573,28 @@ def test_retract_and_result_fields():
     assert np.isfinite(res.objective_K)
 
 
+@pytest.mark.parametrize("retract", [False, True])
+def test_a_collapsed_vertex_is_reported_with_or_without_retract(retract):
+    # the middle value is pulled equally towards opposite neighbours and
+    # collapses to norm 3.1e-17; retract normalizes only the other rows
+    g = line_graph(3)
+    y = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    res = admm_solve(y, g, Weights.constant(g), SolverConfig(tol=1e-10, retract=retract))
+    assert res.collapsed_vertices == [2]
+    norms = np.linalg.norm(res.x, axis=1)
+    assert norms[1] < 1e-12
+    if retract:
+        assert np.abs(norms[[0, 2]] - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_primal_update_rejects_a_nonpositive_rho(rho):
+    g = line_graph(3)
+    u = z = np.zeros((g.m_edges, 4, 4))
+    with pytest.raises(ValueError, match="rho must be positive"):
+        primal_update(u, z, np.ones((3, 2)), Weights.constant(g), g, rho)
+
+
 def test_primal_update_solves_normal_equations():
     # the update must satisfy 2 nu x = Q*(u - z) + w y / rho exactly
     rng = np.random.default_rng(9)

@@ -125,20 +125,30 @@ def test_denoise_grid_spec_and_edgelist(tmp_path):
 
 
 def test_denoise_hue_ppm(tmp_path):
+    # the hue mode, and the chroma mode on the same image
     img = synth.smooth_color_image(8, 8, 2)
     noisy_hue = synth.add_vmf_noise(synth.rgb_to_hsv(img)[0].reshape(-1, 2), 10.0, 3)
     _, s, v, _ = synth.rgb_to_hsv(img)
-    noisy_img = synth.hue_to_rgb(noisy_hue.reshape(8, 8, 2), s, v)
-    p = tmp_path / "in.ppm"
-    fileio.write_ppm(p, noisy_img)
-    out = tmp_path / "out"
-    assert run(["denoise", p, "--mode", "hue", "--lambda", 1, "--outdir", out]) == 0
-    res = fileio.read_ppm(out / "denoised.ppm")
-    assert res.shape == (8, 8, 3)
-    # saturation and value channels are preserved (up to 8-bit quantization)
-    _, s2, v2, _ = synth.rgb_to_hsv(res)
-    assert np.abs(s2 - s).max() < 0.02
-    assert np.abs(v2 - v).max() < 0.02
+    chroma, bright, _ = synth.rgb_to_chromaticity_brightness(img)
+    noisy_chroma = synth.add_vmf_noise(chroma.reshape(-1, 3), 100.0, 3)
+    noisy = {"hue": synth.hue_to_rgb(noisy_hue.reshape(8, 8, 2), s, v),
+             "chroma": synth.chromaticity_brightness_to_rgb(noisy_chroma.reshape(8, 8, 3), bright)}
+    for mode, noisy_img in noisy.items():
+        p = tmp_path / f"{mode}.ppm"
+        fileio.write_ppm(p, noisy_img)
+        out = tmp_path / mode
+        assert run(["denoise", p, "--mode", mode, "--lambda", 1, "--outdir", out]) == 0
+        res = fileio.read_ppm(out / "denoised.ppm")
+        assert res.shape == (8, 8, 3)
+        if mode == "hue":
+            # saturation and value channels are preserved (up to 8-bit quantization)
+            _, s2, v2, _ = synth.rgb_to_hsv(res)
+            assert np.abs(s2 - s).max() < 0.02
+            assert np.abs(v2 - v).max() < 0.02
+        else:
+            # brightness is preserved (up to 8-bit quantization)
+            b2 = synth.rgb_to_chromaticity_brightness(res)[1]
+            assert np.abs(b2 - bright).max() < 0.02
 
 
 def test_denoise_so3_rows(tmp_path):
@@ -291,6 +301,38 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_denoise_rejects_flags_its_mode_cannot_use(tmp_path, capsys):
+    img = tmp_path / "img.ppm"
+    fileio.write_ppm(img, synth.smooth_color_image(12, 12, 0))
+    rots = tmp_path / "rots.txt"
+    fileio.write_rotations(rots, synth.smooth_so3_signal(5, 0))
+    for args, message in (
+        ([img, "--mode", "hue", "--graph", "grid:3x3", "--d", 4], "mode hue takes no --graph, --d"),
+        ([img, "--mode", "chroma", "--graph", "grid:12x12"], "mode chroma takes no --graph"),
+        ([img, "--mode", "chroma", "--d", 3], "mode chroma takes no --d"),
+        ([rots, "--mode", "so3", "--d", 2], "mode so3 takes no --d"),
+    ):
+        assert run(["denoise", *args, "--outdir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+    # so3 takes a graph
+    assert run(["denoise", rots, "--mode", "so3", "--graph", "line",
+                "--outdir", tmp_path / "out"]) == 0
+
+
+@pytest.mark.parametrize("command", ["denoise", "experiment"])
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, command):
+    sig = tmp_path / "sig.csv"
+    fileio.write_signal_csv(sig, synth.smooth_circle_signal(10, 6))
+    target = [sig, "--graph", "line"] if command == "denoise" else ["circle-line", "--n", 10]
+    for i, text in enumerate(("[1.0]", "3", "null")):
+        cfgp = tmp_path / f"cfg{i}.json"
+        cfgp.write_text(text)
+        assert run([command, *target, "--config", cfgp, "--outdir", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {cfgp}: config must be a JSON object\n"
+        assert not (tmp_path / "o").exists()
+
+
 def test_divergence_prints_only_the_error(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     fileio.write_signal_csv(sig, synth.smooth_circle_signal(5, 7))
@@ -364,10 +406,12 @@ def test_eval_scores_a_collapsed_row_at_90_degrees(tmp_path):
 
 
 def test_hue_experiment_report(tmp_path):
-    out = tmp_path / "hue"
-    assert run(["experiment", "hue", "--height", 12, "--width", 12,
-                "--outdir", out]) == 0
-    for name in ("image.ppm", "noisy_image.ppm", "denoised_image.ppm"):
-        assert (out / name).exists()
-    rep = json.loads((out / "report.json").read_text())
-    assert abs(rep["mean_sphere_distance"]) < 1e-6
+    # the hue experiment, and the chroma one
+    for name in ("hue", "chroma"):
+        out = tmp_path / name
+        assert run(["experiment", name, "--height", 12, "--width", 12,
+                    "--outdir", out]) == 0
+        for image in ("image.ppm", "noisy_image.ppm", "denoised_image.ppm"):
+            assert (out / image).exists()
+        rep = json.loads((out / "report.json").read_text())
+        assert abs(rep["mean_sphere_distance"]) < 1e-6

@@ -161,3 +161,20 @@ def test_report_round_trip(tmp_path):
     assert back["e"] == float(np.float32(0.1))
     assert back["f"] == (np.arange(6.0).reshape(2, 3) / 3.0).tolist()
     assert np.isnan(back["g"])
+
+
+def _ppm_with_maxval(path, maxval):
+    path.write_bytes(b"P6\n1 1\n%d\n" % maxval + bytes(6))
+    return fileio.read_ppm(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: fileio.write_rotations(p, np.zeros((2, 3))), "expected an"),
+    (lambda p: fileio.write_rotations(p, np.zeros((2, 3, 4))), "expected an"),
+    (lambda p: _ppm_with_maxval(p, 65535), "only maxval 255 is supported"),
+    (lambda p: fileio.write_ppm(p, np.zeros((2, 2))), "image must have shape"),
+    (lambda p: fileio.write_ppm(p, np.zeros((2, 2, 4))), "image must have shape"),
+], ids=["rotations-2d", "rotations-3x4", "ppm-maxval", "ppm-gray", "ppm-rgba"])
+def test_input_checks_raise(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path / "file")

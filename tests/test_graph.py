@@ -190,3 +190,16 @@ def test_connectivity_check_rejects_split_graphs():
     keep = (grid.edges != 450).all(axis=1)  # vertex 450 loses all its edges
     with pytest.raises(ValueError, match="connected"):
         Graph(900, grid.edges[keep])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(2, [1, 2]), "edges must be a sequence of"),
+    (lambda: Graph(0, np.empty((0, 2), int)), "graph needs at least one vertex"),
+    (lambda: Weights(np.ones((2, 1)), np.ones(1)), "weights must be 1-D"),
+    (lambda: Weights(np.ones(2), [np.inf]), "weights must be finite"),
+    (lambda: Weights(np.ones(3), np.ones(3)).check_graph(line_graph(3)),
+     "edge weight length does not match graph"),
+], ids=["edges-1d", "no-vertex", "weights-2d", "weights-inf", "edge-weight-count"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -353,3 +353,13 @@ def test_rotation_stack_with_one_bad_matrix_raises():
         rotation_to_quat(np.zeros((5, 3, 4)))
     with pytest.raises(ValueError):
         quat_to_rotation(np.stack([ONE, 2 * ONE]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: quat_to_rotation(np.ones(3)), "expected a quaternion"),
+    (lambda: quat_to_rotation(np.full((1, 1, 4), 0.5)), "expected a quaternion"),
+    (lambda: axis_angle_to_rotation([1.0, 0.0], 0.5), "axis must be in R"),
+], ids=["quat-3", "quat-3d-stack", "axis-2"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

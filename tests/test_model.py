@@ -169,3 +169,25 @@ def test_brute_force_capacity_and_input_checks():
         brute_force_min(np.ones((3, 3)), Weights.constant(g3), g3, 0.5)
     with pytest.raises(ValueError):
         brute_force_min(np.ones((3, 2)), Weights.constant(g3), g3, 2.0)
+
+
+_G3 = line_graph(3)
+_WT3 = Weights.constant(_G3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: objective_K(np.ones((3, 5)), np.zeros(2), np.ones((3, 5)), _WT3, _G3),
+     "signal dimension must be one of"),
+    (lambda: objective_K(np.ones((3, 2)), [0.0, np.nan], np.ones((3, 2)), _WT3, _G3),
+     "ell must be finite"),
+    (lambda: adjoint_Q(np.zeros((2, 4, 5)), _G3), "block field must be"),
+    (lambda: adjoint_Q(np.zeros((3, 4, 4)), _G3), "block field must be"),
+    (lambda: objective_K(np.ones((3, 2)), np.zeros(2), np.ones((3, 3)), _WT3, _G3),
+     "x and y must have the same shape"),
+    (lambda: objective_tikhonov(np.ones((3, 2)), np.ones((3, 3)), _WT3, _G3),
+     "x and y must have the same shape"),
+], ids=["dimension", "ell-nan", "block-not-square", "block-count", "objective_K-shapes",
+        "objective_tikhonov-shapes"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

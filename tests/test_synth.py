@@ -31,7 +31,7 @@ def sample_vmf(p: VmfParams, rng_seed, count: int) -> np.ndarray:
     """count i.i.d. von Mises-Fisher samples around p.mu, shape (count, d)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = synth._as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     mus = np.broadcast_to(p.mu, (count, p.mu.shape[0]))
     return synth._vmf_rows(mus, p.kappa, rng)
 
@@ -261,3 +261,18 @@ def test_smooth_color_image():
     assert not gray.any()
     _, _, black = synth.rgb_to_chromaticity_brightness(img)
     assert not black.any()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: synth.add_vmf_noise(np.array([[1.0, 0.0]]), -1.0, 0), "kappa must be nonnegative"),
+    (lambda: synth.smooth_sphere_signal(5, 1, 0), "d must be at least 2"),
+    (lambda: synth.rgb_to_hsv(np.zeros((2, 2, 2))), "last axis must hold"),
+    (lambda: synth.hue_to_rgb(np.zeros((2, 2, 3)), np.ones((2, 2)), np.ones((2, 2))),
+     "hue must be a unit vector"),
+    (lambda: synth.rgb_to_chromaticity_brightness(np.zeros((2, 2, 4))), "last axis must hold"),
+    (lambda: synth.smooth_color_image(1, 5, 0), "image must be at least 2 x 2"),
+], ids=["vmf-kappa", "sphere-d", "hsv-channels", "hue-dim", "chroma-channels",
+        "image-size"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
